@@ -121,13 +121,11 @@ func hasKind(rep *Report, k Kind) bool {
 	return false
 }
 
-// TestMutationDropMark: removing a MARK merges two regions; the merged
-// region must expose a clobber somewhere across the suite.
-func TestMutationDropMark(t *testing.T) {
-	rejected := 0
+// dropMarkMutant drops each MARK in turn, workload by workload, and
+// returns the first mutant the verifier rejects (nil if none is).
+func dropMarkMutant(t *testing.T) *codegen.Program {
 	for _, w := range workloads.All() {
 		p := compile(t, w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
-		// Drop each MARK in turn until one mutation is rejected.
 		for pc, in := range p.Instrs {
 			if in.Op != isa.MARK {
 				continue
@@ -141,28 +139,28 @@ func TestMutationDropMark(t *testing.T) {
 				continue
 			}
 			if rep := Verify(q); !rep.OK() {
-				rejected++
-				break
+				return q
 			}
 		}
-		if rejected > 0 {
-			break
-		}
 	}
-	if rejected == 0 {
+	return nil
+}
+
+// TestMutationDropMark: removing a MARK merges two regions; the merged
+// region must expose a clobber somewhere across the suite.
+func TestMutationDropMark(t *testing.T) {
+	if dropMarkMutant(t) == nil {
 		t.Fatal("no dropped-MARK mutation was rejected on any workload")
 	}
 }
 
-// TestMutationRetargetSpillStore: pointing a spill store at a slot that
-// was read earlier in the region clobbers live-in state.
-func TestMutationRetargetSpillStore(t *testing.T) {
-	rejected := false
+// retargetSpillMutant finds a region with a spill load [sp,#a] followed
+// by a spill store [sp,#b], b != a, with no intervening MARK or branch,
+// and retargets the store to slot a; it returns the first such mutant
+// the verifier flags as a memory clobber (nil if none is).
+func retargetSpillMutant(t *testing.T) *codegen.Program {
 	for _, w := range workloads.All() {
 		p := compile(t, w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
-		// Find a region with a spill load [sp,#a] followed by a spill
-		// store [sp,#b], b != a, with no intervening MARK; retarget the
-		// store to slot a.
 		for pc, in := range p.Instrs {
 			if in.Op != isa.LDR || in.Rs1 != isa.SP {
 				continue
@@ -178,29 +176,26 @@ func TestMutationRetargetSpillStore(t *testing.T) {
 						return true
 					})
 					if rep := Verify(q); hasKind(rep, KindClobberMem) {
-						rejected = true
+						return q
 					}
 				}
-				if rejected {
-					break
-				}
 			}
-			if rejected {
-				break
-			}
-		}
-		if rejected {
-			break
 		}
 	}
-	if !rejected {
+	return nil
+}
+
+// TestMutationRetargetSpillStore: pointing a spill store at a slot that
+// was read earlier in the region clobbers live-in state.
+func TestMutationRetargetSpillStore(t *testing.T) {
+	if retargetSpillMutant(t) == nil {
 		t.Fatal("no retargeted spill store was rejected")
 	}
 }
 
-// TestMutationBadBranch: a branch retargeted outside the program is
-// structural damage, not a crash.
-func TestMutationBadBranch(t *testing.T) {
+// badBranchMutant retargets bzip2's first unconditional branch outside
+// the program (nil if it has none).
+func badBranchMutant(t *testing.T) *codegen.Program {
 	w, _ := workloads.ByName("bzip2")
 	p := compile(t, w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()})
 	q, ok := mutate(p, func(instrs []isa.Instr) bool {
@@ -213,6 +208,16 @@ func TestMutationBadBranch(t *testing.T) {
 		return false
 	})
 	if !ok {
+		return nil
+	}
+	return q
+}
+
+// TestMutationBadBranch: a branch retargeted outside the program is
+// structural damage, not a crash.
+func TestMutationBadBranch(t *testing.T) {
+	q := badBranchMutant(t)
+	if q == nil {
 		t.Skip("no unconditional branch to retarget")
 	}
 	rep := Verify(q)
