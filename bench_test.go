@@ -23,6 +23,7 @@ import (
 	"idemproc/internal/experiments"
 	"idemproc/internal/limit"
 	"idemproc/internal/machine"
+	"idemproc/internal/verify"
 	"idemproc/internal/workloads"
 )
 
@@ -322,6 +323,77 @@ func BenchmarkAblationPureCalls(b *testing.B) {
 		b.ReportMetric(experiments.Geomean(ratios), "gm-pathlen-gain")
 		if i == 0 {
 			b.Log("\n" + experiments.FormatAblation("Ablation: pure-call extension (avg dynamic path length)", "pure-calls on", "off", rows))
+		}
+	}
+}
+
+// verifyMatrix is the ModuleOptions grid of internal/verify's
+// TestWorkloadMatrixClean: the paper's default configuration plus the
+// variants that change region shape. Over the 31 workloads it gives the
+// 279 builds BenchmarkCompile and BenchmarkVerify measure.
+func verifyMatrix() []codegen.ModuleOptions {
+	withMax := func(n int) core.Options {
+		o := core.DefaultOptions()
+		o.MaxRegionSize = n
+		return o
+	}
+	noRedElim := core.DefaultOptions()
+	noRedElim.RedElim = false
+	var out []codegen.ModuleOptions
+	for _, o := range []core.Options{
+		core.DefaultOptions(),
+		{LoopHeuristic: true, RedElim: true, CutAtCalls: true},
+		withMax(8), withMax(16), withMax(32), withMax(64),
+		{RedElim: true, UnrollLoops: true, CutAtCalls: true},
+		noRedElim,
+	} {
+		out = append(out, codegen.ModuleOptions{Idempotent: true, Core: o})
+	}
+	return append(out, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions(), PureCalls: true})
+}
+
+// BenchmarkCompile measures the compiler proper (region construction,
+// register allocation, code generation and linking) over the 279 verify
+// matrix builds; one op compiles all of them. The frontend runs with the
+// timer stopped, because compilation consumes its module.
+func BenchmarkCompile(b *testing.B) {
+	ws := workloads.All()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, mo := range verifyMatrix() {
+			for _, w := range ws {
+				b.StopTimer()
+				m := w.Module()
+				b.StartTimer()
+				if _, _, err := codegen.CompileModuleOpts(m, "main", w.MemWords, mo); err != nil {
+					b.Fatalf("%s: %v", w.Name, err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkVerify measures the translation validator over the same 279
+// builds; one op verifies all of them. `make bench-verify` gates
+// verify ns/op <= BenchmarkCompile ns/op.
+func BenchmarkVerify(b *testing.B) {
+	var progs []*codegen.Program
+	for _, mo := range verifyMatrix() {
+		for _, w := range workloads.All() {
+			p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
+			if err != nil {
+				b.Fatalf("%s: %v", w.Name, err)
+			}
+			progs = append(progs, p)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range progs {
+			if rep := verify.Verify(p); !rep.OK() {
+				b.Fatal(rep.Summary())
+			}
 		}
 	}
 }

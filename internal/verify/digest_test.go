@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -56,8 +57,8 @@ func regionStarts(p *codegen.Program) []int {
 // provText renders the pre-pass facts at pc canonically: non-empty
 // register facts by register, then non-empty memory facts by address.
 func provText(vf *verifier, pc int) string {
-	ps := vf.prov[pc]
-	if ps == nil {
+	ps := &vf.prov[pc]
+	if !ps.reached {
 		return "-"
 	}
 	var b strings.Builder
@@ -66,16 +67,12 @@ func provText(vf *verifier, pc int) string {
 			fmt.Fprintf(&b, "r%d=%d/%t/%d;", r, f.obj, f.ck, f.cv)
 		}
 	}
-	addrs := make([]int64, 0, len(ps.mem))
-	for a, f := range ps.mem {
-		if f != (provReg{}) {
-			addrs = append(addrs, a)
+	facts := slices.Clone(ps.mem)
+	sort.Slice(facts, func(i, j int) bool { return facts[i].addr < facts[j].addr })
+	for _, m := range facts {
+		if m.f != (provReg{}) {
+			fmt.Fprintf(&b, "m%d=%d/%t/%d;", m.addr, m.f.obj, m.f.ck, m.f.cv)
 		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		f := ps.mem[a]
-		fmt.Fprintf(&b, "m%d=%d/%t/%d;", a, f.obj, f.ck, f.cv)
 	}
 	return b.String()
 }

@@ -1,6 +1,11 @@
 package verify
 
-import "idemproc/internal/isa"
+import (
+	"cmp"
+	"slices"
+
+	"idemproc/internal/isa"
+)
 
 // provReg is the whole-program pre-pass lattice for one value: which
 // global object it must point into when used as an address (obj, 0 =
@@ -14,29 +19,41 @@ type provReg struct {
 	cv  int64
 }
 
+// provFact is a pre-pass fact about one absolutely-addressed word.
+type provFact struct {
+	addr int64
+	f    provReg
+}
+
+func cmpProvFact(f provFact, addr int64) int { return cmp.Compare(f.addr, addr) }
+
 // provState is the pre-pass dataflow state at one pc: a fact per
-// register, plus facts about absolutely-addressed memory words. SP is
-// itself tracked as a constant (the startup stub materializes it and
-// frames adjust it by immediates), so spill slots have known absolute
-// addresses and survive the pass — which is what lets a pointer spilled
-// before a MARK and reloaded after it keep its provenance.
+// register, plus facts about absolutely-addressed memory words (sorted by
+// address, none empty). SP is itself tracked as a constant (the startup
+// stub materializes it and frames adjust it by immediates), so spill
+// slots have known absolute addresses and survive the pass — which is
+// what lets a pointer spilled before a MARK and reloaded after it keep
+// its provenance. As in the region analysis, a table entry owns its mem
+// slice (it lives in the verifier's arena) and the scratch state owns a
+// private buffer.
 type provState struct {
-	regs [isa.NumRegs]provReg
-	mem  map[int64]provReg
+	regs    [isa.NumRegs]provReg
+	mem     []provFact
+	reached bool
 }
 
-func (s *provState) clone() *provState {
-	c := &provState{regs: s.regs, mem: make(map[int64]provReg, len(s.mem))}
-	for k, v := range s.mem {
-		c.mem[k] = v
+// memAt returns the fact about absolute address a (empty if none).
+func (s *provState) memAt(a int64) provReg {
+	if i, ok := slices.BinarySearchFunc(s.mem, a, cmpProvFact); ok {
+		return s.mem[i].f
 	}
-	return c
+	return provReg{}
 }
 
-// provPass computes per-pc provenance, flowing straight through MARKs.
-// Region boundaries erase value provenance from the per-region analysis
-// (live-in registers and stack slots become opaque symbols), which loses
-// facts the machine itself preserves:
+// provPass computes per-pc provenance into vf.prov, flowing straight
+// through MARKs. Region boundaries erase value provenance from the
+// per-region analysis (live-in registers and stack slots become opaque
+// symbols), which loses facts the machine itself preserves:
 //
 //   - a pointer into global A computed in one region and dereferenced in
 //     the next would may-alias every other global (obj recovers this);
@@ -56,80 +73,98 @@ func (s *provState) clone() *provState {
 // stay inside the executing function's own frame — the same frame
 // discipline the per-region analysis leans on — so they invalidate only
 // stack-range facts, not global ones.
-func (vf *verifier) provPass() map[int]*provState {
+func (vf *verifier) provPass() {
 	instrs := vf.p.Instrs
-	prov := map[int]*provState{}
+	vf.prov = make([]provState, len(instrs))
 	entry := vf.p.Entry
 	if entry < 0 || entry >= len(instrs) {
-		return prov
+		return
 	}
-	prov[entry] = &provState{mem: map[int64]provReg{}}
-	wl := []int{entry}
-	inWL := map[int]bool{entry: true}
-	for len(wl) > 0 {
-		pc := wl[0]
-		wl = wl[1:]
-		inWL[pc] = false
-		out := prov[pc].clone()
-		vf.provStep(out, pc)
-		for _, s := range vf.provSuccs(pc) {
+	vf.prov[entry].reached = true
+	wl := append(vf.wl[:0], entry)
+	vf.inWL[entry] = true
+	var out provState
+	for head := 0; head < len(wl); head++ {
+		pc := wl[head]
+		vf.inWL[pc] = false
+		out.regs = vf.prov[pc].regs
+		out.mem = append(out.mem[:0], vf.prov[pc].mem...)
+		vf.provStep(&out, pc)
+		for _, s := range vf.succs(pc) {
 			if s < 0 || s >= len(instrs) {
 				continue
 			}
-			cur, ok := prov[s]
-			changed := false
-			if !ok {
-				prov[s] = out.clone()
-				changed = true
+			cur := &vf.prov[s]
+			changed := true
+			if !cur.reached {
+				cur.regs = out.regs
+				cur.mem = vf.provArena.copyOf(out.mem)
+				cur.reached = true
 			} else {
-				for r := range cur.regs {
-					if cur.regs[r].obj != out.regs[r].obj && cur.regs[r].obj != 0 {
-						cur.regs[r].obj = 0
-						changed = true
-					}
-					if cur.regs[r].ck && (!out.regs[r].ck || cur.regs[r].cv != out.regs[r].cv) {
-						cur.regs[r].ck, cur.regs[r].cv = false, 0
-						changed = true
-					}
-				}
-				for k, cf := range cur.mem {
-					of, ok := out.mem[k]
-					if !ok {
-						delete(cur.mem, k)
-						changed = true
-						continue
-					}
-					merged := cf
-					if merged.obj != of.obj {
-						merged.obj = 0
-					}
-					if merged.ck && (!of.ck || merged.cv != of.cv) {
-						merged.ck, merged.cv = false, 0
-					}
-					if merged != cf {
-						changed = true
-						if merged == (provReg{}) {
-							delete(cur.mem, k)
-						} else {
-							cur.mem[k] = merged
-						}
-					}
-				}
+				changed = cur.join(&out)
 			}
-			if changed && !inWL[s] {
+			if changed && !vf.inWL[s] {
 				wl = append(wl, s)
-				inWL[s] = true
+				vf.inWL[s] = true
 			}
 		}
 	}
-	return prov
+	vf.wl = wl
+}
+
+// join degrades cur to the facts that also hold in out, reporting
+// change. Memory facts only drop or weaken, so cur.mem is rewritten in
+// place.
+func (cur *provState) join(out *provState) bool {
+	changed := false
+	for r := range cur.regs {
+		if cur.regs[r] == out.regs[r] {
+			continue
+		}
+		if cur.regs[r].obj != out.regs[r].obj && cur.regs[r].obj != 0 {
+			cur.regs[r].obj = 0
+			changed = true
+		}
+		if cur.regs[r].ck && (!out.regs[r].ck || cur.regs[r].cv != out.regs[r].cv) {
+			cur.regs[r].ck, cur.regs[r].cv = false, 0
+			changed = true
+		}
+	}
+	n, j := 0, 0
+	for _, cf := range cur.mem {
+		for j < len(out.mem) && out.mem[j].addr < cf.addr {
+			j++
+		}
+		if j == len(out.mem) || out.mem[j].addr != cf.addr {
+			changed = true
+			continue
+		}
+		of := out.mem[j].f
+		merged := cf.f
+		if merged.obj != of.obj {
+			merged.obj = 0
+		}
+		if merged.ck && (!of.ck || merged.cv != of.cv) {
+			merged.ck, merged.cv = false, 0
+		}
+		if merged != cf.f {
+			changed = true
+			if merged == (provReg{}) {
+				continue
+			}
+		}
+		cur.mem[n] = provFact{cf.addr, merged}
+		n++
+	}
+	cur.mem = cur.mem[:n]
+	return changed
 }
 
 // provStep is the transfer function: track global anchors and constants
 // through moves, arithmetic and constant-addressed memory, drop them
 // everywhere else.
 func (vf *verifier) provStep(st *provState, pc int) {
-	in := vf.p.Instrs[pc]
+	in := &vf.p.Instrs[pc]
 	if in.Shadow != 0 || in.Meta {
 		return
 	}
@@ -201,7 +236,7 @@ func (vf *verifier) provStep(st *provState, pc int) {
 		a := regs[in.Rs1]
 		var out provReg
 		if a.ck {
-			out = st.mem[a.cv+in.Imm]
+			out = st.memAt(a.cv + in.Imm)
 		}
 		set(in.Rd, out)
 	case isa.STR, isa.FSTR:
@@ -213,30 +248,31 @@ func (vf *verifier) provStep(st *provState, pc int) {
 				v = regs[in.Rs2]
 			}
 			key := a.cv + in.Imm
-			if v == (provReg{}) {
-				delete(st.mem, key)
-			} else {
-				st.mem[key] = v
+			i, ok := slices.BinarySearchFunc(st.mem, key, cmpProvFact)
+			switch {
+			case v == (provReg{}):
+				if ok {
+					st.mem = slices.Delete(st.mem, i, i+1)
+				}
+			case ok:
+				st.mem[i].f = v
+			default:
+				st.mem = slices.Insert(st.mem, i, provFact{key, v})
 			}
 		case in.Rs1 == isa.SP:
 			// Unknown SP (function called from several stack depths): the
 			// store lands somewhere in the current frame, so only facts in
 			// the stack range are at risk.
-			for k := range st.mem {
-				if k >= vf.p.GlobalEnd {
-					delete(st.mem, k)
-				}
-			}
+			st.mem = slices.DeleteFunc(st.mem, func(f provFact) bool { return f.addr >= vf.p.GlobalEnd })
 		case a.obj != 0:
 			// Store somewhere inside one global: facts about other objects
 			// and the stack survive.
-			for k := range st.mem {
-				if g, _ := vf.anchor(k); g == a.obj {
-					delete(st.mem, k)
-				}
-			}
+			st.mem = slices.DeleteFunc(st.mem, func(f provFact) bool {
+				g, _ := vf.anchor(f.addr)
+				return g == a.obj
+			})
 		default:
-			st.mem = map[int64]provReg{}
+			st.mem = st.mem[:0]
 		}
 	case isa.CALL:
 		regs[isa.LR] = provReg{}
@@ -249,28 +285,4 @@ func (vf *verifier) provStep(st *provState, pc int) {
 		// Every other producing op yields an untracked value.
 		set(in.Rd, provReg{})
 	}
-}
-
-// provSuccs mirrors the machine CFG without LR tracking: RET flows to
-// every return site of the containing function.
-func (vf *verifier) provSuccs(pc int) []int {
-	in := vf.p.Instrs[pc]
-	if in.Shadow != 0 || in.Meta {
-		return []int{pc + 1}
-	}
-	switch in.Op {
-	case isa.B, isa.CALL:
-		return []int{int(in.Imm)}
-	case isa.CBZ, isa.CBNZ:
-		return []int{pc + 1, int(in.Imm)}
-	case isa.RET:
-		fn := ""
-		if pc < len(vf.p.FuncOf) {
-			fn = vf.p.FuncOf[pc]
-		}
-		return append([]int(nil), vf.callers[fn]...)
-	case isa.HALT:
-		return nil
-	}
-	return []int{pc + 1}
 }

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"idemproc/internal/isa"
 )
@@ -76,12 +78,12 @@ const (
 // val is an abstract register or slot value. rigid marks values that are
 // fixed for the whole dynamic execution of a region (region-entry live-ins
 // and constants): only locations addressed through rigid values can
-// must-kill an exposure.
+// must-kill an exposure. base is a symbol id (see verifier.fresh).
 type val struct {
-	kind  vkind
-	base  int64
-	obj   int64
 	off   int64
+	obj   int64
+	base  int32
+	kind  vkind
 	exact bool
 	rigid bool
 }
@@ -124,8 +126,8 @@ func ptrLike(v val) bool {
 // derived offsets separate, but not rigid (it may differ across loop
 // iterations, so it can never witness a must-kill).
 func (vf *verifier) opaque(pc int) val {
-	id, ok := vf.pcID[pc]
-	if !ok {
+	id := vf.pcID[pc]
+	if id == 0 {
 		id = vf.fresh()
 		vf.pcID[pc] = id
 	}
@@ -191,28 +193,57 @@ func locOf(av val, imm int64) (Loc, bool) {
 		return Loc{Space: SpaceAbs, Obj: av.obj}, false
 	case vStack:
 		if av.exact {
-			return Loc{Space: SpaceStack, Base: av.base, Obj: av.obj, Off: av.off + imm, Exact: true}, av.rigid
+			return Loc{Space: SpaceStack, Base: int64(av.base), Obj: av.obj, Off: av.off + imm, Exact: true}, av.rigid
 		}
-		return Loc{Space: SpaceStack, Base: av.base, Obj: av.obj}, false
+		return Loc{Space: SpaceStack, Base: int64(av.base), Obj: av.obj}, false
 	case vSym:
 		if av.exact {
-			return Loc{Space: SpaceSym, Base: av.base, Obj: av.obj, Off: av.off + imm, Exact: true}, av.rigid
+			return Loc{Space: SpaceSym, Base: int64(av.base), Obj: av.obj, Off: av.off + imm, Exact: true}, av.rigid
 		}
-		return Loc{Space: SpaceSym, Base: av.base, Obj: av.obj}, false
+		return Loc{Space: SpaceSym, Base: int64(av.base), Obj: av.obj}, false
 	}
 	return Loc{Space: SpaceAny}, false
 }
 
 // memKey identifies an exact location for the must-write (kill) set and
-// the slot-content map. Stack keys deliberately drop the provenance
+// the slot-content table. Stack keys deliberately drop the provenance
 // anchor: exact locations are compared by address identity alone.
 type memKey struct {
-	space Space
-	base  int64
 	off   int64
+	base  int32
+	space Space
 }
 
-func keyOf(l Loc) memKey { return memKey{space: l.Space, base: l.Base, off: l.Off} }
+func keyOf(l Loc) memKey { return memKey{space: l.Space, base: int32(l.Base), off: l.Off} }
+
+func cmpKey(a, b memKey) int {
+	if a.space != b.space {
+		return cmp.Compare(a.space, b.space)
+	}
+	if a.base != b.base {
+		return cmp.Compare(a.base, b.base)
+	}
+	return cmp.Compare(a.off, b.off)
+}
+
+func cmpLoc(a, b Loc) int {
+	switch {
+	case a.Space != b.Space:
+		return cmp.Compare(a.Space, b.Space)
+	case a.Base != b.Base:
+		return cmp.Compare(a.Base, b.Base)
+	case a.Obj != b.Obj:
+		return cmp.Compare(a.Obj, b.Obj)
+	case a.Off != b.Off:
+		return cmp.Compare(a.Off, b.Off)
+	case a.Exact != b.Exact:
+		if a.Exact {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Compare(a.Reg, b.Reg)
+}
 
 // mayAlias decides whether two abstract memory locations can name the
 // same word. The rules mirror internal/alias: distinct stack bases and
@@ -295,56 +326,127 @@ func (vf *verifier) distinctObj(sym, abs Loc) bool {
 	return abs.Obj != 0 && abs.Obj != sym.Obj
 }
 
+// regSet is a set of registers, one bit per isa.Reg.
+type regSet uint64
+
+// The register file must fit a regSet.
+var _ [64 - isa.NumRegs]struct{}
+
+func (s regSet) has(r isa.Reg) bool { return s&(1<<r) != 0 }
+
+// slotFact is one entry of the slot-content table: the value an exact
+// stack word holds.
+type slotFact struct {
+	k memKey
+	v val
+}
+
+func cmpSlot(f slotFact, k memKey) int { return cmpKey(f.k, k) }
+
 // state is the per-program-point dataflow fact for one region: abstract
 // register and slot values (for provenance tracking through spills), the
 // exposed-read sets (may, union at joins) and the must-written kill sets
-// (intersection at joins).
+// (intersection at joins). The memory sets are small sorted slices. A
+// state stored in the per-pc table owns its slices (they live in the
+// verifier's arenas and no other state refers to them); the scratch
+// state the transfer function runs on owns private buffers.
 type state struct {
-	regs  [isa.NumRegs]val
-	eregs [isa.NumRegs]bool
-	wregs [isa.NumRegs]bool
-	mem   map[memKey]val
-	emem  map[Loc]struct{}
-	wmem  map[memKey]struct{}
+	regs    [isa.NumRegs]val
+	eregs   regSet
+	wregs   regSet
+	mem     []slotFact // sorted by key
+	emem    []Loc      // sorted by cmpLoc
+	wmem    []memKey   // sorted by cmpKey
+	reached bool
 }
 
-func newState() *state {
-	return &state{
-		mem:  map[memKey]val{},
-		emem: map[Loc]struct{}{},
-		wmem: map[memKey]struct{}{},
+// arena is append-only backing storage for the memory sets of table
+// entries, so storing a state allocates nothing once the arena has grown
+// to the analysis' working size. Each stored slice is capped at its own
+// length: appending to it copies instead of overwriting a neighbour.
+// reset recycles the storage, and is only legal once no table entry
+// still in use refers to it.
+type arena[T any] struct{ buf []T }
+
+func (a *arena[T]) reset() { a.buf = a.buf[:0] }
+
+// copyOf returns an arena copy of s.
+func (a *arena[T]) copyOf(s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
+	n := len(a.buf)
+	a.buf = append(a.buf, s...)
+	return a.buf[n:len(a.buf):len(a.buf)]
 }
 
-func (s *state) clone() *state {
-	c := &state{regs: s.regs, eregs: s.eregs, wregs: s.wregs,
-		mem:  make(map[memKey]val, len(s.mem)),
-		emem: make(map[Loc]struct{}, len(s.emem)),
-		wmem: make(map[memKey]struct{}, len(s.wmem))}
-	for k, v := range s.mem {
-		c.mem[k] = v
+// union returns the sorted set dst ∪ src and whether it differs from
+// dst; a grown set is written to the arena, dst is left untouched.
+func (a *arena[T]) union(dst, src []T, cmp func(a, b T) int) ([]T, bool) {
+	if subset(src, dst, cmp) {
+		return dst, false
 	}
-	for l := range s.emem {
-		c.emem[l] = struct{}{}
+	n, i := len(a.buf), 0
+	for _, x := range src {
+		for i < len(dst) && cmp(dst[i], x) < 0 {
+			a.buf = append(a.buf, dst[i])
+			i++
+		}
+		if i < len(dst) && cmp(dst[i], x) == 0 {
+			continue
+		}
+		a.buf = append(a.buf, x)
 	}
-	for k := range s.wmem {
-		c.wmem[k] = struct{}{}
-	}
-	return c
+	a.buf = append(a.buf, dst[i:]...)
+	return a.buf[n:len(a.buf):len(a.buf)], true
 }
 
-// mergeFrom joins src into dst at join point pc, reporting change.
+// subset reports whether every element of the sorted set sub is in the
+// sorted set set.
+func subset[T any](sub, set []T, cmp func(a, b T) int) bool {
+	i := 0
+	for _, x := range sub {
+		for i < len(set) && cmp(set[i], x) < 0 {
+			i++
+		}
+		if i == len(set) || cmp(set[i], x) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// load makes the scratch state sc a copy of src, reusing sc's buffers.
+func (sc *state) load(src *state) {
+	sc.regs, sc.eregs, sc.wregs = src.regs, src.eregs, src.wregs
+	sc.mem = append(sc.mem[:0], src.mem...)
+	sc.emem = append(sc.emem[:0], src.emem...)
+	sc.wmem = append(sc.wmem[:0], src.wmem...)
+}
+
+// store makes the table entry dst a copy of the scratch state sc.
+func (vf *verifier) store(dst, sc *state) {
+	dst.regs, dst.eregs, dst.wregs = sc.regs, sc.eregs, sc.wregs
+	dst.mem = vf.slotArena.copyOf(sc.mem)
+	dst.emem = vf.locArena.copyOf(sc.emem)
+	dst.wmem = vf.keyArena.copyOf(sc.wmem)
+	dst.reached = true
+}
+
+// mergeFrom joins src into the table entry dst at join point pc,
+// reporting change. Every set is walked in sorted order, so the symbols
+// the join allocates are numbered the same way on every run.
 func (dst *state) mergeFrom(src *state, pc int, vf *verifier) bool {
 	changed := false
+	if e := dst.eregs | src.eregs; e != dst.eregs {
+		dst.eregs = e
+		changed = true
+	}
+	if w := dst.wregs & src.wregs; w != dst.wregs {
+		dst.wregs = w
+		changed = true
+	}
 	for i := range dst.regs {
-		if src.eregs[i] && !dst.eregs[i] {
-			dst.eregs[i] = true
-			changed = true
-		}
-		if dst.wregs[i] && !src.wregs[i] {
-			dst.wregs[i] = false
-			changed = true
-		}
 		if dst.regs[i] != src.regs[i] {
 			j := vf.joinVal(dst.regs[i], src.regs[i], pc, int64(i))
 			if j != dst.regs[i] {
@@ -353,33 +455,44 @@ func (dst *state) mergeFrom(src *state, pc int, vf *verifier) bool {
 			}
 		}
 	}
-	for l := range src.emem {
-		if _, ok := dst.emem[l]; !ok {
-			dst.emem[l] = struct{}{}
-			changed = true
+	if u, grew := vf.locArena.union(dst.emem, src.emem, cmpLoc); grew {
+		dst.emem = u
+		changed = true
+	}
+	// Intersections only shrink, so they rewrite dst's own slices.
+	n, j := 0, 0
+	for _, k := range dst.wmem {
+		for j < len(src.wmem) && cmpKey(src.wmem[j], k) < 0 {
+			j++
+		}
+		if j < len(src.wmem) && src.wmem[j] == k {
+			dst.wmem[n] = k
+			n++
 		}
 	}
-	for k := range dst.wmem {
-		if _, ok := src.wmem[k]; !ok {
-			delete(dst.wmem, k)
-			changed = true
-		}
+	if n != len(dst.wmem) {
+		dst.wmem = dst.wmem[:n]
+		changed = true
 	}
-	for k, dv := range dst.mem {
-		sv, ok := src.mem[k]
-		if !ok {
-			delete(dst.mem, k)
+	n, j = 0, 0
+	for _, f := range dst.mem {
+		for j < len(src.mem) && cmpKey(src.mem[j].k, f.k) < 0 {
+			j++
+		}
+		if j == len(src.mem) || src.mem[j].k != f.k {
 			changed = true
 			continue
 		}
-		if sv != dv {
-			j := vf.joinVal(dv, sv, pc, vf.memSlotID(k))
-			if j != dv {
-				dst.mem[k] = j
+		if sv := src.mem[j].v; sv != f.v {
+			if jv := vf.joinVal(f.v, sv, pc, vf.memSlotID(f.k)); jv != f.v {
+				f.v = jv
 				changed = true
 			}
 		}
+		dst.mem[n] = f
+		n++
 	}
+	dst.mem = dst.mem[:n]
 	return changed
 }
 
@@ -446,7 +559,7 @@ func (vf *verifier) joinVal(a, b val, pc int, slot int64) val {
 	return val{}
 }
 
-func (vf *verifier) joinStackBase(pc int, slot int64) int64 {
+func (vf *verifier) joinStackBase(pc int, slot int64) int32 {
 	k := joinKey{pc, slot}
 	id, ok := vf.joinID[k]
 	if !ok {
@@ -461,18 +574,18 @@ func (vf *verifier) joinStackBase(pc int, slot int64) int64 {
 func exemptReg(r isa.Reg) bool { return r == isa.SP || r == isa.LR || r == isa.RP }
 
 func (vf *verifier) readReg(st *state, r isa.Reg) val {
-	if !exemptReg(r) && !st.wregs[r] {
-		st.eregs[r] = true
+	if !exemptReg(r) && !st.wregs.has(r) {
+		st.eregs |= 1 << r
 	}
 	return st.regs[r]
 }
 
 func (vf *verifier) writeReg(st *state, r isa.Reg, v val, pc, region int) {
-	if !exemptReg(r) && st.eregs[r] {
+	if !exemptReg(r) && st.eregs.has(r) {
 		vf.violate(region, pc, Loc{Space: SpaceReg, Reg: r}, KindClobberReg)
 	}
 	st.regs[r] = v
-	st.wregs[r] = true
+	st.wregs |= 1 << r
 }
 
 // memRead records the exposure of a load unless a must-write to the same
@@ -480,39 +593,51 @@ func (vf *verifier) writeReg(st *state, r isa.Reg, v val, pc, region int) {
 // dependence: re-execution reads the value the region itself wrote).
 func (vf *verifier) memRead(st *state, loc Loc, rigid bool) {
 	if loc.Exact && rigid {
-		if _, ok := st.wmem[keyOf(loc)]; ok {
+		if _, ok := slices.BinarySearchFunc(st.wmem, keyOf(loc), cmpKey); ok {
 			return
 		}
 	}
-	st.emem[loc] = struct{}{}
+	if i, ok := slices.BinarySearchFunc(st.emem, loc, cmpLoc); !ok {
+		st.emem = slices.Insert(st.emem, i, loc)
+	}
 }
 
 // memWrite flags the store if it may alias any exposed read, then
-// updates the kill set and the slot-content map.
+// updates the kill set and the slot-content table.
 func (vf *verifier) memWrite(st *state, loc Loc, v val, rigid bool, pc, region int) {
-	for e := range st.emem {
+	for _, e := range st.emem {
 		if vf.mayAlias(e, loc) {
 			vf.violate(region, pc, loc, KindClobberMem)
 			break
 		}
 	}
+	k := keyOf(loc)
 	if loc.Exact && rigid {
-		st.wmem[keyOf(loc)] = struct{}{}
-	}
-	if loc.Space == SpaceStack && loc.Exact {
-		// Exact slots are address identities: only the written word changes.
-		st.mem[keyOf(loc)] = v
-		return
-	}
-	if loc.Space == SpaceStack {
-		// Imprecise stack store: drop every same-base slot value it might
-		// overwrite (non-stack stores cannot reach the frame).
-		for k := range st.mem {
-			if k.base == loc.Base {
-				delete(st.mem, k)
-			}
+		if i, ok := slices.BinarySearchFunc(st.wmem, k, cmpKey); !ok {
+			st.wmem = slices.Insert(st.wmem, i, k)
 		}
 	}
+	if loc.Space != SpaceStack {
+		return
+	}
+	if loc.Exact {
+		// Exact slots are address identities: only the written word changes.
+		st.setSlot(k, v)
+		return
+	}
+	// Imprecise stack store: drop every same-base slot value it might
+	// overwrite (non-stack stores cannot reach the frame).
+	st.mem = slices.DeleteFunc(st.mem, func(f slotFact) bool { return f.k.base == k.base })
+}
+
+// setSlot records that exact slot k holds v.
+func (st *state) setSlot(k memKey, v val) {
+	i, ok := slices.BinarySearchFunc(st.mem, k, cmpSlot)
+	if ok {
+		st.mem[i].v = v
+		return
+	}
+	st.mem = slices.Insert(st.mem, i, slotFact{k, v})
 }
 
 // slotVal is the stable symbol for "the region-entry content of slot k":
@@ -527,16 +652,14 @@ func (vf *verifier) slotVal(k memKey) val {
 	return val{kind: vSym, base: id, exact: true, rigid: true}
 }
 
-// step executes the transfer function for pc on st (already a private
-// copy) and returns the successor pcs.
+// step executes the transfer function for pc on the scratch state st and
+// returns the successor pcs (in a buffer the next step reuses).
 func (vf *verifier) step(st *state, pc, region int) []int {
-	in := vf.p.Instrs[pc]
+	in := &vf.p.Instrs[pc]
 	if in.Shadow != 0 || in.Meta {
-		return []int{pc + 1} // protected instrumentation: no architectural effect
+		return vf.succs(pc) // protected instrumentation: no architectural effect
 	}
 	switch in.Op {
-	case isa.NOP, isa.CHECK, isa.MAJ:
-		return []int{pc + 1}
 	case isa.MOVI:
 		vf.writeReg(st, in.Rd, vconst(in.Imm), pc, region)
 	case isa.FMOVI:
@@ -585,9 +708,9 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 		res := val{}
 		if in.Op == isa.LDR && loc.Space == SpaceStack && loc.Exact {
 			k := keyOf(loc)
-			if v, ok := st.mem[k]; ok {
-				res = v
-			} else if _, written := st.wmem[k]; written {
+			if i, ok := slices.BinarySearchFunc(st.mem, k, cmpSlot); ok {
+				res = st.mem[i].v
+			} else if _, written := slices.BinarySearchFunc(st.wmem, k, cmpKey); written {
 				res = vf.opaque(pc) // overwritten then forgotten: not entry content
 			} else {
 				res = vf.slotVal(k)
@@ -598,8 +721,8 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
 				if k.base == 0 {
-					if ps := vf.prov[vf.regionStart]; ps != nil && ps.regs[isa.SP].ck {
-						f := ps.mem[ps.regs[isa.SP].cv+k.off]
+					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.regs[isa.SP].ck {
+						f := ps.memAt(ps.regs[isa.SP].cv + k.off)
 						if f.ck {
 							res = vconst(f.cv)
 						} else {
@@ -607,7 +730,7 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 						}
 					}
 				}
-				st.mem[k] = res
+				st.mem = slices.Insert(st.mem, i, slotFact{k, res})
 			}
 		}
 		vf.writeReg(st, in.Rd, res, pc, region)
@@ -616,34 +739,48 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 		data := vf.readReg(st, in.Rs2)
 		loc, rigid := locOf(av, in.Imm)
 		vf.memWrite(st, loc, data, rigid, pc, region)
-	case isa.B:
-		return []int{int(in.Imm)}
 	case isa.CBZ, isa.CBNZ:
 		vf.readReg(st, in.Rs1)
-		return []int{pc + 1, int(in.Imm)}
 	case isa.CALL:
 		st.regs[isa.LR] = vconst(int64(pc + 1))
-		st.wregs[isa.LR] = true
-		return []int{int(in.Imm)}
+		st.wregs |= 1 << isa.LR
 	case isa.RET:
-		lr := st.regs[isa.LR]
-		if lr.kind == vConst && lr.exact {
-			return []int{int(lr.off)}
+		if lr := st.regs[isa.LR]; lr.kind == vConst && lr.exact {
+			return append(vf.succBuf[:0], int(lr.off))
 		}
-		// Opaque return address (region entered mid-callee): conservatively
-		// continue at every return site of the containing function.
-		fn := ""
-		if pc < len(vf.p.FuncOf) {
-			fn = vf.p.FuncOf[pc]
-		}
-		return append([]int(nil), vf.callers[fn]...)
-	case isa.HALT:
-		return nil
+		// Opaque return address (region entered mid-callee): succs
+		// conservatively continues at every return site of the function.
 	case isa.MARK:
 		// Only reached for Shadow/Meta-free marks at pc != region entry;
 		// the driver treats these as boundaries before stepping, so this
 		// is the region's own entry revisited: commit, path ends.
 		return nil
 	}
-	return []int{pc + 1}
+	return vf.succs(pc)
+}
+
+// succs returns the machine CFG successors of pc, with RET flowing to
+// every return site of the containing function. The result is vf.succBuf
+// or a caller list, valid until the next call and never modified.
+func (vf *verifier) succs(pc int) []int {
+	in := &vf.p.Instrs[pc]
+	buf := vf.succBuf[:0]
+	if in.Shadow != 0 || in.Meta {
+		return append(buf, pc+1)
+	}
+	switch in.Op {
+	case isa.B, isa.CALL:
+		return append(buf, int(in.Imm))
+	case isa.CBZ, isa.CBNZ:
+		return append(buf, pc+1, int(in.Imm))
+	case isa.RET:
+		fn := ""
+		if pc < len(vf.p.FuncOf) {
+			fn = vf.p.FuncOf[pc]
+		}
+		return vf.callers[fn]
+	case isa.HALT:
+		return nil
+	}
+	return append(buf, pc+1)
 }

@@ -139,20 +139,37 @@ func Verify(p *codegen.Program) *Report {
 // the same fresh symbol), and the caller map backs the RET fallback.
 type verifier struct {
 	p       *codegen.Program
-	gbase   []int64            // sorted global base addresses (extent table)
-	callers map[string][]int   // function name -> return-site pcs
-	prov    map[int]*provState // per-pc register + memory provenance (see prov.go)
+	gbase   []int64          // sorted global base addresses (extent table)
+	callers map[string][]int // function name -> return-site pcs
+	prov    []provState      // per-pc register + memory provenance (see prov.go)
 
 	// regionStart is the first in-region pc of the region currently under
 	// analysis; slot reads use it to look up entry-content provenance.
 	regionStart int
 
-	nextID  int64
-	entryID [isa.NumRegs]int64 // region-entry register symbols
-	pcID    map[int]int64      // opaque per-instruction results
-	slotID  map[memKey]int64   // region-entry contents of stack slots
-	joinID  map[joinKey]int64  // degraded values at join points
+	nextID  int32
+	entryID [isa.NumRegs]int32 // region-entry register symbols
+	pcID    []int32            // opaque per-instruction results (0 = none yet)
+	slotID  map[memKey]int32   // region-entry contents of stack slots
+	joinID  map[joinKey]int32  // degraded values at join points
 	memSlot map[memKey]int64   // stable slot index for join keying
+
+	// The dataflow tables: one state per pc, allocated once per program
+	// and reused by every region (touched lists the entries a region
+	// reached, so the next one resets only those). Both fixpoints share
+	// the FIFO worklist and its membership flags, and step on one
+	// scratch state each; the arenas back the memory sets of table
+	// entries (see arena).
+	states    []state
+	touched   []int
+	scratch   state
+	wl        []int
+	inWL      []bool
+	succBuf   [2]int
+	slotArena arena[slotFact]
+	locArena  arena[Loc]
+	keyArena  arena[memKey]
+	provArena arena[provFact]
 
 	seen map[vkey]bool
 	out  []Violation
@@ -170,13 +187,16 @@ type vkey struct {
 }
 
 func newVerifier(p *codegen.Program) *verifier {
+	n := len(p.Instrs)
 	vf := &verifier{
 		p:       p,
 		callers: map[string][]int{},
-		pcID:    map[int]int64{},
-		slotID:  map[memKey]int64{},
-		joinID:  map[joinKey]int64{},
+		pcID:    make([]int32, n),
+		slotID:  map[memKey]int32{},
+		joinID:  map[joinKey]int32{},
 		memSlot: map[memKey]int64{},
+		states:  make([]state, n),
+		inWL:    make([]bool, n),
 		seen:    map[vkey]bool{},
 	}
 	for _, base := range p.GlobalBase {
@@ -192,11 +212,11 @@ func newVerifier(p *codegen.Program) *verifier {
 	for r := range vf.entryID {
 		vf.entryID[r] = vf.fresh()
 	}
-	vf.prov = vf.provPass()
+	vf.provPass()
 	return vf
 }
 
-func (vf *verifier) fresh() int64 {
+func (vf *verifier) fresh() int32 {
 	id := vf.nextID
 	vf.nextID++
 	return id
@@ -236,22 +256,28 @@ func (vf *verifier) analyzeRegion(entry int) {
 			return
 		}
 	}
-	states := map[int]*state{start: vf.entryState(start)}
-	wl := []int{start}
-	inWL := map[int]bool{start: true}
-	steps, budget := 0, 128*len(instrs)+4096
-	for len(wl) > 0 {
-		steps++
-		if steps > budget {
+	for _, pc := range vf.touched {
+		vf.states[pc].reached = false
+		vf.inWL[pc] = false
+	}
+	vf.slotArena.reset()
+	vf.locArena.reset()
+	vf.keyArena.reset()
+	vf.entryState(start)
+	vf.touched = append(vf.touched[:0], start)
+	wl := append(vf.wl[:0], start)
+	vf.inWL[start] = true
+	sc := &vf.scratch
+	budget := 128*len(instrs) + 4096
+	for head := 0; head < len(wl); head++ {
+		if head >= budget {
 			vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBudget)
-			return
+			break
 		}
-		pc := wl[0]
-		wl = wl[1:]
-		inWL[pc] = false
-		st := states[pc].clone()
-		succs := vf.step(st, pc, entry)
-		for _, s := range succs {
+		pc := wl[head]
+		vf.inWL[pc] = false
+		sc.load(&vf.states[pc])
+		for _, s := range vf.step(sc, pc, entry) {
 			if s < 0 || s >= len(instrs) {
 				vf.violate(entry, pc, Loc{Space: SpaceAny}, KindBadBranch)
 				continue
@@ -259,36 +285,38 @@ func (vf *verifier) analyzeRegion(entry int) {
 			if instrs[s].Op == isa.MARK && instrs[s].Shadow == 0 {
 				continue // region boundary: state commits here
 			}
-			cur, ok := states[s]
-			changed := false
-			if !ok {
-				states[s] = st.clone()
-				changed = true
+			dst := &vf.states[s]
+			changed := true
+			if !dst.reached {
+				vf.store(dst, sc)
+				vf.touched = append(vf.touched, s)
 			} else {
-				changed = cur.mergeFrom(st, s, vf)
+				changed = dst.mergeFrom(sc, s, vf)
 			}
-			if changed && !inWL[s] {
+			if changed && !vf.inWL[s] {
 				wl = append(wl, s)
-				inWL[s] = true
+				vf.inWL[s] = true
 			}
 		}
 	}
+	vf.wl = wl
 }
 
-// entryState models the machine at a region boundary: SP is the only
-// value with full provenance (stack base 0); every other register holds
-// an opaque but fixed live-in value, upgraded with whatever the
-// whole-program pre-pass proved about it — a known constant becomes a
-// real constant (MaxRegionSize splits routinely strand `movi`s just
-// before a MARK), and a global-object anchor tags the symbol so
-// different-object addresses stop may-aliasing.
-func (vf *verifier) entryState(start int) *state {
-	st := newState()
+// entryState models the machine at a region boundary in the table entry
+// for start: SP is the only value with full provenance (stack base 0);
+// every other register holds an opaque but fixed live-in value, upgraded
+// with whatever the whole-program pre-pass proved about it — a known
+// constant becomes a real constant (MaxRegionSize splits routinely strand
+// `movi`s just before a MARK), and a global-object anchor tags the symbol
+// so different-object addresses stop may-aliasing.
+func (vf *verifier) entryState(start int) {
 	vf.regionStart = start
-	pv := vf.prov[start]
+	st := &vf.states[start]
+	*st = state{reached: true}
+	pv := &vf.prov[start]
 	for r := 0; r < isa.NumRegs; r++ {
 		st.regs[r] = val{kind: vSym, base: vf.entryID[r], exact: true, rigid: true}
-		if pv != nil {
+		if pv.reached {
 			if pv.regs[r].ck {
 				st.regs[r] = vconst(pv.regs[r].cv)
 			} else {
@@ -297,5 +325,4 @@ func (vf *verifier) entryState(start int) *state {
 		}
 	}
 	st.regs[isa.SP] = val{kind: vStack, base: 0, obj: -1, exact: true, rigid: true}
-	return st
 }

@@ -225,3 +225,62 @@ func TestMutationBadBranch(t *testing.T) {
 		t.Fatalf("retargeted branch not flagged: %s", rep.Summary())
 	}
 }
+
+// frameJoinProgram stores two different frame pointers into the same two
+// stack slots on either side of a branch, then loads each joined slot
+// and writes through it after reading through it. The join gives each
+// slot a fresh stack base, and each write-after-read is a violation
+// whose location names one of them.
+func frameJoinProgram() *codegen.Program {
+	r0, r1, r2, r3 := isa.Reg(0), isa.Reg(1), isa.Reg(2), isa.Reg(3)
+	arm := func(frame int64) []isa.Instr {
+		return []isa.Instr{
+			{Op: isa.ADDI, Rd: isa.SP, Rs1: isa.SP, Imm: frame},
+			{Op: isa.STR, Rs1: r1, Rs2: isa.SP, Imm: -1},
+			{Op: isa.STR, Rs1: r1, Rs2: isa.SP, Imm: -2},
+		}
+	}
+	instrs := []isa.Instr{
+		{Op: isa.MOV, Rd: r1, Rs1: isa.SP},
+		{Op: isa.CBZ, Rs1: r0, Imm: 6},
+	}
+	instrs = append(instrs, arm(-8)...)
+	instrs = append(instrs, isa.Instr{Op: isa.B, Imm: 9})
+	instrs = append(instrs, arm(-16)...)
+	for _, slot := range []int64{-1, -2} {
+		instrs = append(instrs,
+			isa.Instr{Op: isa.LDR, Rd: r2, Rs1: r1, Imm: slot},
+			isa.Instr{Op: isa.LDR, Rd: r3, Rs1: r2},
+			isa.Instr{Op: isa.STR, Rs1: r2, Rs2: r0})
+	}
+	instrs = append(instrs, isa.Instr{Op: isa.HALT}, isa.Instr{Op: isa.MARK}, isa.Instr{Op: isa.HALT})
+	return &codegen.Program{Instrs: instrs, Marks: 1}
+}
+
+// TestRenderDeterministic: symbol ids feed violation locations, so the
+// report text is only reproducible if the analysis allocates them in a
+// fixed order. The joined-frame program and every mutation program must
+// render byte-identically across repeated runs.
+func TestRenderDeterministic(t *testing.T) {
+	progs := map[string]*codegen.Program{
+		"frame-join":           frameJoinProgram(),
+		"drop-mark":            dropMarkMutant(t),
+		"retarget-spill-store": retargetSpillMutant(t),
+		"bad-branch":           badBranchMutant(t),
+	}
+	for _, w := range workloads.All() {
+		p := compile(t, w, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions(), RelaxedAlloc: true})
+		progs["relaxed-alloc/"+w.Name] = p
+	}
+	for name, p := range progs {
+		if p == nil {
+			t.Fatalf("%s: no mutant", name)
+		}
+		want := Verify(p).Render(p)
+		for i := 1; i < 20; i++ {
+			if got := Verify(p).Render(p); got != want {
+				t.Fatalf("%s: run %d rendered differently:\n%s\nvs first run:\n%s", name, i, got, want)
+			}
+		}
+	}
+}
