@@ -80,7 +80,8 @@ func provText(vf *verifier, pc int) string {
 // verifyDigest fingerprints everything the validator proves about p.
 func verifyDigest(p *codegen.Program) string {
 	h := sha256.New()
-	vf := newVerifier(p)
+	vf := newVerifier()
+	vf.reset(p)
 	for _, s := range regionStarts(p) {
 		if s < len(p.Instrs) {
 			fmt.Fprintf(h, "@%d:%s\n", s, provText(vf, s))

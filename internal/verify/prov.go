@@ -75,7 +75,6 @@ func (s *provState) memAt(a int64) provReg {
 // stack-range facts, not global ones.
 func (vf *verifier) provPass() {
 	instrs := vf.p.Instrs
-	vf.prov = make([]provState, len(instrs))
 	entry := vf.p.Entry
 	if entry < 0 || entry >= len(instrs) {
 		return
@@ -118,15 +117,16 @@ func (vf *verifier) provPass() {
 func (cur *provState) join(out *provState) bool {
 	changed := false
 	for r := range cur.regs {
-		if cur.regs[r] == out.regs[r] {
+		c, o := &cur.regs[r], out.regs[r]
+		if *c == o {
 			continue
 		}
-		if cur.regs[r].obj != out.regs[r].obj && cur.regs[r].obj != 0 {
-			cur.regs[r].obj = 0
+		if c.obj != o.obj && c.obj != 0 {
+			c.obj = 0
 			changed = true
 		}
-		if cur.regs[r].ck && (!out.regs[r].ck || cur.regs[r].cv != out.regs[r].cv) {
-			cur.regs[r].ck, cur.regs[r].cv = false, 0
+		if c.ck && (!o.ck || c.cv != o.cv) {
+			c.ck, c.cv = false, 0
 			changed = true
 		}
 	}

@@ -36,6 +36,7 @@ package verify
 
 import (
 	"sort"
+	"sync"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/isa"
@@ -111,7 +112,9 @@ func Verify(p *codegen.Program) *Report {
 		rep.Skipped = true
 		return rep
 	}
-	vf := newVerifier(p)
+	vf := verifiers.Get().(*verifier)
+	defer verifiers.Put(vf)
+	vf.reset(p)
 	vf.analyzeRegion(p.Entry)
 	rep.Regions++
 	for pc, in := range p.Instrs {
@@ -120,7 +123,7 @@ func Verify(p *codegen.Program) *Report {
 			rep.Regions++
 		}
 	}
-	rep.Violations = vf.out
+	rep.Violations, vf.out, vf.p = vf.out, nil, nil
 	sort.Slice(rep.Violations, func(i, j int) bool {
 		a, b := rep.Violations[i], rep.Violations[j]
 		if a.Region != b.Region {
@@ -154,12 +157,12 @@ type verifier struct {
 	joinID  map[joinKey]int32  // degraded values at join points
 	memSlot map[memKey]int64   // stable slot index for join keying
 
-	// The dataflow tables: one state per pc, allocated once per program
-	// and reused by every region (touched lists the entries a region
-	// reached, so the next one resets only those). Both fixpoints share
-	// the FIFO worklist and its membership flags, and step on one
-	// scratch state each; the arenas back the memory sets of table
-	// entries (see arena).
+	// The dataflow tables: one state per pc, reused by every region
+	// (touched lists the entries a region reached, so the next one resets
+	// only those) and, through the verifiers pool, by later programs.
+	// Both fixpoints share the FIFO worklist and its membership flags,
+	// and step on one scratch state each; the arenas back the memory sets
+	// of table entries (see arena).
 	states    []state
 	touched   []int
 	scratch   state
@@ -186,19 +189,37 @@ type vkey struct {
 	kind   Kind
 }
 
-func newVerifier(p *codegen.Program) *verifier {
-	n := len(p.Instrs)
-	vf := &verifier{
-		p:       p,
+// verifiers recycles verifiers between Verify calls: the tables, arenas
+// and memo maps one program grew serve the next (see reset).
+var verifiers = sync.Pool{New: func() any { return newVerifier() }}
+
+func newVerifier() *verifier {
+	return &verifier{
 		callers: map[string][]int{},
-		pcID:    make([]int32, n),
 		slotID:  map[memKey]int32{},
 		joinID:  map[joinKey]int32{},
 		memSlot: map[memKey]int64{},
-		states:  make([]state, n),
-		inWL:    make([]bool, n),
 		seen:    map[vkey]bool{},
 	}
+}
+
+// reset readies vf for p, keeping every buffer it already has.
+func (vf *verifier) reset(p *codegen.Program) {
+	n := len(p.Instrs)
+	vf.p = p
+	vf.prov = resize(vf.prov, n)
+	vf.states = resize(vf.states, n)
+	vf.pcID = resize(vf.pcID, n)
+	vf.inWL = resize(vf.inWL, n)
+	vf.touched = vf.touched[:0]
+	vf.provArena.reset()
+	clear(vf.callers)
+	clear(vf.slotID)
+	clear(vf.joinID)
+	clear(vf.memSlot)
+	clear(vf.seen)
+	vf.out = nil
+	vf.gbase = vf.gbase[:0]
 	for _, base := range p.GlobalBase {
 		vf.gbase = append(vf.gbase, base)
 	}
@@ -213,7 +234,17 @@ func newVerifier(p *codegen.Program) *verifier {
 		vf.entryID[r] = vf.fresh()
 	}
 	vf.provPass()
-	return vf
+}
+
+// resize returns a zeroed slice of length n, reusing s if it is big
+// enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (vf *verifier) fresh() int32 {
