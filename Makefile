@@ -6,7 +6,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet check lint test race race-fault bench bench-sim bench-serve bench-shard bench-quick serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
+.PHONY: all build fmt-check vet check lint test race race-fault bench bench-sim bench-verify bench-serve bench-shard bench-quick serve-smoke chaos-smoke persist-smoke shard-smoke jobs-smoke verify-smoke ci
 
 all: build
 
@@ -132,6 +132,31 @@ bench-sim: build
 	@rm -f BENCH_sim.txt
 	@echo "wrote BENCH_sim.json:"; cat BENCH_sim.json
 
+# bench-verify measures the translation validator against the compiler
+# it checks, over the same 279 builds (31 workloads x the 9 ModuleOptions
+# variants of internal/verify's matrix), and writes ns/op, B/op and
+# allocs/op of each to BENCH_verify.json. It fails when verifying costs
+# more than compiling: every build the service hands out is verified, so
+# the validator must stay within the compile's budget.
+BENCH_VERIFY_COUNT ?= 3
+bench-verify: build
+	@$(GO) test -run '^$$' -bench 'BenchmarkCompile$$|BenchmarkVerify$$' \
+		-benchtime $(BENCH_VERIFY_COUNT)x -benchmem . | tee BENCH_verify.txt
+	@awk ' \
+		/^Benchmark(Compile|Verify)/ { name = ($$1 ~ /^BenchmarkCompile/) ? "compile" : "verify"; \
+			for (i=1; i<=NF; i++) { \
+				if ($$i == "ns/op") ns[name] = $$(i-1); \
+				if ($$i == "B/op") by[name] = $$(i-1); \
+				if ($$i == "allocs/op") al[name] = $$(i-1); } } \
+		END { if (!("compile" in ns) || !("verify" in ns)) { print "bench-verify: missing benchmark output" > "/dev/stderr"; exit 1 } \
+			printf "{\n  \"compile\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s},\n", ns["compile"], by["compile"], al["compile"]; \
+			printf "  \"verify\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s},\n", ns["verify"], by["verify"], al["verify"]; \
+			printf "  \"verify_over_compile\": %.3f\n}\n", ns["verify"] / ns["compile"] }' \
+		BENCH_verify.txt > BENCH_verify.json
+	@rm -f BENCH_verify.txt
+	@echo "wrote BENCH_verify.json:"; cat BENCH_verify.json
+	@awk '/"verify_over_compile"/ { if ($$2 + 0 > 1) { print "bench-verify: verify costs more than compile" > "/dev/stderr"; exit 1 } }' BENCH_verify.json
+
 # bench-serve measures the idemd service under the acceptance workload
 # (2000 mixed requests at concurrency 32, run twice with one seed) and
 # writes req/s and latency percentiles to BENCH_serve.json. The run
@@ -157,10 +182,10 @@ bench-shard: build
 		./scripts/bench_serve.sh
 
 # bench-quick is the fast smoke slice of the evaluation: the simulator
-# engine microbenchmarks, a representative figure pair over one suite on
-# a parallel engine (with the stage breakdown printed), and a reduced
-# service benchmark.
-bench-quick: bench-sim
+# engine microbenchmarks, the verify-vs-compile gate, a representative
+# figure pair over one suite on a parallel engine (with the stage
+# breakdown printed), and a reduced service benchmark.
+bench-quick: bench-sim bench-verify
 	$(GO) run ./cmd/idembench -table2 -fig10 -suite PARSEC -workers 8 -timing
 	$(MAKE) bench-serve BENCH_SERVE_REQUESTS=400
 

@@ -205,8 +205,9 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 		if compiled {
 			c.compileNanos.Add(time.Since(start).Nanoseconds())
 		}
-		close(e.done)
 
+		// Account before publishing: a caller returning from Compile must
+		// find the entry charged to BytesInUse and the bound enforced.
 		c.mu.Lock()
 		// The entry may have raced with an eviction sweep only after
 		// insertion below, so this is the unique insertion point.
@@ -217,6 +218,7 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 			c.evict()
 		}
 		c.mu.Unlock()
+		close(e.done)
 	}()
 
 	// Second tier: a valid persisted artifact serves the miss without

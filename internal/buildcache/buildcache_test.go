@@ -278,6 +278,68 @@ func TestCancelAbandonsInflightCompile(t *testing.T) {
 	}
 }
 
+// TestStatsAccountedOnReturn: a build is charged to BytesInUse, and the
+// bound enforced, before Compile hands it out, so Stats read the moment
+// Compile returns already include it. A second goroutine polls Stats
+// throughout, contending for the cache lock the builder must take after
+// finishing. Run under -race -count=50.
+func TestStatsAccountedOnReturn(t *testing.T) {
+	w := testWorkload(t)
+	configs := make([]codegen.ModuleOptions, 4)
+	for i := range configs {
+		o := core.DefaultOptions()
+		o.MaxRegionSize = 8 * (i + 1)
+		configs[i] = codegen.ModuleOptions{Idempotent: true, Core: o}
+	}
+	poll := func(c *Cache) (stop func()) {
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					c.Stats()
+				}
+			}
+		}()
+		return func() { close(done); wg.Wait() }
+	}
+
+	c := New()
+	stop := poll(c)
+	var last int64
+	for i, mo := range configs {
+		if _, _, err := c.Compile(context.Background(), w, mo); err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if st.Distinct != i+1 || st.BytesInUse <= last {
+			stop()
+			t.Fatalf("compile %d returned before it was accounted: %d entries, %d bytes in use (was %d)", i, st.Distinct, st.BytesInUse, last)
+		}
+		last = st.BytesInUse
+	}
+	stop()
+
+	// Bound for one entry: every compile must have evicted its
+	// predecessor by the time it returns.
+	b := NewBounded(last / int64(len(configs)))
+	stop = poll(b)
+	defer stop()
+	for i, mo := range configs {
+		if _, _, err := b.Compile(context.Background(), w, mo); err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.Distinct != 1 || st.Evictions != int64(i) {
+			t.Fatalf("compile %d returned before the bound was enforced: %d entries, %d evictions", i, st.Distinct, st.Evictions)
+		}
+	}
+}
+
 // TestBoundedEviction drives distinct configurations through a cache
 // whose byte bound fits roughly one program and asserts LRU eviction:
 // evictions observed, occupancy bounded, evicted keys recompile (miss)

@@ -102,12 +102,24 @@ func Predecode(p *codegen.Program) *Code {
 }
 
 // DropPredecode removes p's memoized decoded form, if any. The compile
-// cache calls this when it evicts a Program so the predecode memo does
-// not pin evicted Programs in memory forever; Machines already holding
+// cache calls this when it evicts a Program, and the service once the
+// run of a request-local instrumented Program ends, so the predecode
+// memo does not pin Programs in memory forever; Machines already holding
 // the Code keep working (the Code itself is immutable), and a later
 // Predecode simply recomputes.
 func DropPredecode(p *codegen.Program) {
 	codeCache.Delete(p)
+}
+
+// MemoizedPrograms reports how many Programs currently have a memoized
+// decoded form.
+func MemoizedPrograms() int {
+	n := 0
+	codeCache.Range(func(_, _ any) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // decodeOne resolves one instruction at absolute index pc.

@@ -511,7 +511,10 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 		return nil, err
 	}
 	if apply {
+		// The instrumented program is this request's alone: release its
+		// predecode memo with the run, or every request leaks one.
 		p = fault.Apply(p, schemeID)
+		defer machine.DropPredecode(p)
 	}
 
 	cfg.TrackPaths = req.TrackPaths || idem

@@ -20,6 +20,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idemproc/internal/machine"
 )
 
 // tinySource is a fast ad-hoc workload: main loops its argument times.
@@ -463,6 +465,30 @@ func TestMachineErrorIs200(t *testing.T) {
 	}
 	if rep.Digest.DynInstrs == 0 {
 		t.Errorf("digest missing dynamic instruction count: %s", b)
+	}
+}
+
+// TestInstrumentedSimulatesReleasePredecode: dmr/tmr/cl/idem requests
+// run a request-local fault.Apply program whose predecode memo must go
+// with the run, or every request leaks one decoded program. The compile
+// cache's own builds keep theirs.
+func TestInstrumentedSimulatesReleasePredecode(t *testing.T) {
+	s := New(Config{})
+	run := func() {
+		for _, scheme := range []string{"none", "dmr", "tmr", "cl", "idem"} {
+			req := &SimulateRequest{Source: tinySource, Args: []uint64{5}, Scheme: scheme}
+			if _, err := s.doSimulate(context.Background(), req); err != nil {
+				t.Fatalf("%s: %v", scheme, err)
+			}
+		}
+	}
+	run() // compiles; the cached builds memoize their decoded form
+	before := machine.MemoizedPrograms()
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	if after := machine.MemoizedPrograms(); after != before {
+		t.Fatalf("predecode memo grew from %d to %d programs over 20 instrumented simulates", before, after)
 	}
 }
 

@@ -62,8 +62,8 @@ func provText(vf *verifier, pc int) string {
 		return "-"
 	}
 	var b strings.Builder
-	for r, f := range ps.regs {
-		if f != (provReg{}) {
+	for r := 0; r < isa.NumRegs; r++ {
+		if f := ps.reg(isa.Reg(r)); f != (provReg{}) {
 			fmt.Fprintf(&b, "r%d=%d/%t/%d;", r, f.obj, f.ck, f.cv)
 		}
 	}
@@ -80,8 +80,7 @@ func provText(vf *verifier, pc int) string {
 // verifyDigest fingerprints everything the validator proves about p.
 func verifyDigest(p *codegen.Program) string {
 	h := sha256.New()
-	vf := newVerifier()
-	vf.reset(p)
+	vf := newVerifier(p)
 	for _, s := range regionStarts(p) {
 		if s < len(p.Instrs) {
 			fmt.Fprintf(h, "@%d:%s\n", s, provText(vf, s))

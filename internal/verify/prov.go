@@ -2,6 +2,7 @@ package verify
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"idemproc/internal/isa"
@@ -19,6 +20,18 @@ type provReg struct {
 	cv  int64
 }
 
+// meet weakens f to what also holds given o: an anchor or a constant
+// the two disagree on becomes unknown.
+func (f provReg) meet(o provReg) provReg {
+	if f.obj != o.obj {
+		f.obj = 0
+	}
+	if f.ck && (!o.ck || f.cv != o.cv) {
+		f.ck, f.cv = false, 0
+	}
+	return f
+}
+
 // provFact is a pre-pass fact about one absolutely-addressed word.
 type provFact struct {
 	addr int64
@@ -27,27 +40,47 @@ type provFact struct {
 
 func cmpProvFact(f provFact, addr int64) int { return cmp.Compare(f.addr, addr) }
 
-// provState is the pre-pass dataflow state at one pc: a fact per
-// register, plus facts about absolutely-addressed memory words (sorted by
-// address, none empty). SP is itself tracked as a constant (the startup
-// stub materializes it and frames adjust it by immediates), so spill
-// slots have known absolute addresses and survive the pass — which is
-// what lets a pointer spilled before a MARK and reloaded after it keep
-// its provenance. As in the region analysis, a table entry owns its mem
-// slice (it lives in the verifier's arena) and the scratch state owns a
-// private buffer.
+// factAt returns the fact about absolute address a in the sorted facts
+// mem (empty if none).
+func factAt(mem []provFact, a int64) provReg {
+	if i, ok := slices.BinarySearchFunc(mem, a, cmpProvFact); ok {
+		return mem[i].f
+	}
+	return provReg{}
+}
+
+// provState is the pre-pass dataflow state at one pc: facts about
+// registers, plus facts about absolutely-addressed memory words (sorted
+// by address, none empty). SP is itself tracked as a constant (the
+// startup stub materializes it and frames adjust it by immediates), so
+// spill slots have known absolute addresses and survive the pass — which
+// is what lets a pointer spilled before a MARK and reloaded after it
+// keep its provenance.
+//
+// Only registers with a fact are stored (a handful per pc): live has a
+// bit for each, and regs holds their facts in register order. Both
+// slices live in the verifier's arenas and belong to this entry alone.
 type provState struct {
-	regs    [isa.NumRegs]provReg
+	live    regSet
+	regs    []provReg
 	mem     []provFact
 	reached bool
 }
 
-// memAt returns the fact about absolute address a (empty if none).
-func (s *provState) memAt(a int64) provReg {
-	if i, ok := slices.BinarySearchFunc(s.mem, a, cmpProvFact); ok {
-		return s.mem[i].f
+// reg returns the fact about register r (empty if none).
+func (s *provState) reg(r isa.Reg) provReg {
+	if !s.live.has(r) {
+		return provReg{}
 	}
-	return provReg{}
+	return s.regs[bits.OnesCount64(uint64(s.live&(1<<r-1)))]
+}
+
+// provScratch is the state provStep runs on: the whole register file, so
+// the transfer function indexes registers directly, and a private buffer
+// for the memory facts.
+type provScratch struct {
+	regs [isa.NumRegs]provReg
+	mem  []provFact
 }
 
 // provPass computes per-pc provenance into vf.prov, flowing straight
@@ -80,14 +113,17 @@ func (vf *verifier) provPass() {
 		return
 	}
 	vf.prov[entry].reached = true
-	wl := append(vf.wl[:0], entry)
-	vf.inWL[entry] = true
-	var out provState
-	for head := 0; head < len(wl); head++ {
-		pc := wl[head]
-		vf.inWL[pc] = false
-		out.regs = vf.prov[pc].regs
-		out.mem = append(out.mem[:0], vf.prov[pc].mem...)
+	wl := &vf.wl
+	wl.push(entry)
+	var out provScratch
+	for wl.n > 0 {
+		pc := wl.pop()
+		src := &vf.prov[pc]
+		out.regs = [isa.NumRegs]provReg{}
+		for i, m := 0, src.live; m != 0; i, m = i+1, m&(m-1) {
+			out.regs[bits.TrailingZeros64(uint64(m))] = src.regs[i]
+		}
+		out.mem = append(out.mem[:0], src.mem...)
 		vf.provStep(&out, pc)
 		for _, s := range vf.succs(pc) {
 			if s < 0 || s >= len(instrs) {
@@ -96,40 +132,56 @@ func (vf *verifier) provPass() {
 			cur := &vf.prov[s]
 			changed := true
 			if !cur.reached {
-				cur.regs = out.regs
-				cur.mem = vf.provArena.copyOf(out.mem)
-				cur.reached = true
+				vf.storeProv(cur, &out)
 			} else {
 				changed = cur.join(&out)
 			}
-			if changed && !vf.inWL[s] {
-				wl = append(wl, s)
-				vf.inWL[s] = true
+			if changed {
+				wl.push(s)
 			}
 		}
 	}
-	vf.wl = wl
+}
+
+// storeProv makes the table entry dst a copy of the scratch state sc.
+func (vf *verifier) storeProv(dst *provState, sc *provScratch) {
+	var facts [isa.NumRegs]provReg
+	k := 0
+	dst.live = 0
+	for r, f := range sc.regs {
+		if f != (provReg{}) {
+			dst.live |= 1 << r
+			facts[k] = f
+			k++
+		}
+	}
+	dst.regs = vf.provRegArena.copyOf(facts[:k])
+	dst.mem = vf.provArena.copyOf(sc.mem)
+	dst.reached = true
 }
 
 // join degrades cur to the facts that also hold in out, reporting
-// change. Memory facts only drop or weaken, so cur.mem is rewritten in
+// change. Facts only drop or weaken, so cur's slices are rewritten in
 // place.
-func (cur *provState) join(out *provState) bool {
+func (cur *provState) join(out *provScratch) bool {
 	changed := false
-	for r := range cur.regs {
-		c, o := &cur.regs[r], out.regs[r]
-		if *c == o {
-			continue
-		}
-		if c.obj != o.obj && c.obj != 0 {
-			c.obj = 0
+	n, i := 0, 0
+	for m := cur.live; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros64(uint64(m))
+		c := cur.regs[i]
+		i++
+		if j := c.meet(out.regs[r]); j != c {
 			changed = true
+			if j == (provReg{}) {
+				cur.live &^= 1 << r
+				continue
+			}
+			c = j
 		}
-		if c.ck && (!o.ck || c.cv != o.cv) {
-			c.ck, c.cv = false, 0
-			changed = true
-		}
+		cur.regs[n] = c
+		n++
 	}
+	cur.regs = cur.regs[:n]
 	n, j := 0, 0
 	for _, cf := range cur.mem {
 		for j < len(out.mem) && out.mem[j].addr < cf.addr {
@@ -139,21 +191,14 @@ func (cur *provState) join(out *provState) bool {
 			changed = true
 			continue
 		}
-		of := out.mem[j].f
-		merged := cf.f
-		if merged.obj != of.obj {
-			merged.obj = 0
-		}
-		if merged.ck && (!of.ck || merged.cv != of.cv) {
-			merged.ck, merged.cv = false, 0
-		}
-		if merged != cf.f {
+		if m := cf.f.meet(out.mem[j].f); m != cf.f {
 			changed = true
-			if merged == (provReg{}) {
+			if m == (provReg{}) {
 				continue
 			}
+			cf.f = m
 		}
-		cur.mem[n] = provFact{cf.addr, merged}
+		cur.mem[n] = cf
 		n++
 	}
 	cur.mem = cur.mem[:n]
@@ -163,7 +208,7 @@ func (cur *provState) join(out *provState) bool {
 // provStep is the transfer function: track global anchors and constants
 // through moves, arithmetic and constant-addressed memory, drop them
 // everywhere else.
-func (vf *verifier) provStep(st *provState, pc int) {
+func (vf *verifier) provStep(st *provScratch, pc int) {
 	in := &vf.p.Instrs[pc]
 	if in.Shadow != 0 || in.Meta {
 		return
@@ -236,7 +281,7 @@ func (vf *verifier) provStep(st *provState, pc int) {
 		a := regs[in.Rs1]
 		var out provReg
 		if a.ck {
-			out = st.memAt(a.cv + in.Imm)
+			out = factAt(st.mem, a.cv+in.Imm)
 		}
 		set(in.Rd, out)
 	case isa.STR, isa.FSTR:

@@ -351,30 +351,41 @@ func cmpSlot(f slotFact, k memKey) int { return cmpKey(f.k, k) }
 // verifier's arenas and no other state refers to them); the scratch
 // state the transfer function runs on owns private buffers.
 type state struct {
-	regs    [isa.NumRegs]val
-	eregs   regSet
-	wregs   regSet
-	mem     []slotFact // sorted by key
-	emem    []Loc      // sorted by cmpLoc
-	wmem    []memKey   // sorted by cmpKey
-	reached bool
+	regs  [isa.NumRegs]val
+	eregs regSet
+	wregs regSet
+	mem   []slotFact // sorted by key
+	emem  []Loc      // sorted by cmpLoc
+	wmem  []memKey   // sorted by cmpKey
 }
 
-// arena is append-only backing storage for the memory sets of table
-// entries, so storing a state allocates nothing once the arena has grown
-// to the analysis' working size. Each stored slice is capped at its own
-// length: appending to it copies instead of overwriting a neighbour.
-// reset recycles the storage, and is only legal once no table entry
-// still in use refers to it.
+// arena is append-only backing storage for the sets of table entries,
+// so storing a state costs no allocation of its own. Storage comes in
+// chunks, doubling up to arenaChunk elements; a full chunk is left to the
+// slices already cut from it rather than copied. Each stored slice is
+// capped at its own length: appending to it copies instead of
+// overwriting a neighbour. reset recycles the current chunk, and is only
+// legal once no table entry still in use refers to it.
 type arena[T any] struct{ buf []T }
 
+const arenaChunk = 1024
+
 func (a *arena[T]) reset() { a.buf = a.buf[:0] }
+
+// room makes space for n more elements in the current chunk.
+func (a *arena[T]) room(n int) {
+	if len(a.buf)+n <= cap(a.buf) {
+		return
+	}
+	a.buf = make([]T, 0, max(n, min(max(64, 2*cap(a.buf)), arenaChunk)))
+}
 
 // copyOf returns an arena copy of s.
 func (a *arena[T]) copyOf(s []T) []T {
 	if len(s) == 0 {
 		return nil
 	}
+	a.room(len(s))
 	n := len(a.buf)
 	a.buf = append(a.buf, s...)
 	return a.buf[n:len(a.buf):len(a.buf)]
@@ -386,6 +397,7 @@ func (a *arena[T]) union(dst, src []T, cmp func(a, b T) int) ([]T, bool) {
 	if subset(src, dst, cmp) {
 		return dst, false
 	}
+	a.room(len(dst) + len(src))
 	n, i := len(a.buf), 0
 	for _, x := range src {
 		for i < len(dst) && cmp(dst[i], x) < 0 {
@@ -430,7 +442,6 @@ func (vf *verifier) store(dst, sc *state) {
 	dst.mem = vf.slotArena.copyOf(sc.mem)
 	dst.emem = vf.locArena.copyOf(sc.emem)
 	dst.wmem = vf.keyArena.copyOf(sc.wmem)
-	dst.reached = true
 }
 
 // mergeFrom joins src into the table entry dst at join point pc,
@@ -721,8 +732,8 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
 				if k.base == 0 {
-					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.regs[isa.SP].ck {
-						f := ps.memAt(ps.regs[isa.SP].cv + k.off)
+					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.reg(isa.SP).ck {
+						f := factAt(ps.mem, ps.reg(isa.SP).cv+k.off)
 						if f.ck {
 							res = vconst(f.cv)
 						} else {

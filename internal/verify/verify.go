@@ -36,7 +36,6 @@ package verify
 
 import (
 	"sort"
-	"sync"
 
 	"idemproc/internal/codegen"
 	"idemproc/internal/isa"
@@ -112,9 +111,7 @@ func Verify(p *codegen.Program) *Report {
 		rep.Skipped = true
 		return rep
 	}
-	vf := verifiers.Get().(*verifier)
-	defer verifiers.Put(vf)
-	vf.reset(p)
+	vf := newVerifier(p)
 	vf.analyzeRegion(p.Entry)
 	rep.Regions++
 	for pc, in := range p.Instrs {
@@ -123,7 +120,7 @@ func Verify(p *codegen.Program) *Report {
 			rep.Regions++
 		}
 	}
-	rep.Violations, vf.out, vf.p = vf.out, nil, nil
+	rep.Violations = vf.out
 	sort.Slice(rep.Violations, func(i, j int) bool {
 		a, b := rep.Violations[i], rep.Violations[j]
 		if a.Region != b.Region {
@@ -157,22 +154,24 @@ type verifier struct {
 	joinID  map[joinKey]int32  // degraded values at join points
 	memSlot map[memKey]int64   // stable slot index for join keying
 
-	// The dataflow tables: one state per pc, reused by every region
-	// (touched lists the entries a region reached, so the next one resets
-	// only those) and, through the verifiers pool, by later programs.
-	// Both fixpoints share the FIFO worklist and its membership flags,
-	// and step on one scratch state each; the arenas back the memory sets
-	// of table entries (see arena).
-	states    []state
-	touched   []int
-	scratch   state
-	wl        []int
-	inWL      []bool
-	succBuf   [2]int
-	slotArena arena[slotFact]
-	locArena  arena[Loc]
-	keyArena  arena[memKey]
-	provArena arena[provFact]
+	// The region analysis keeps the states of the pcs a region reached
+	// densely, in first-visit order: touched[i] is the pc of state(i),
+	// and at[pc] is i+1 (0 while the region has not reached pc). The next
+	// region resets only those entries and reuses the storage. The
+	// pre-pass table (prov) has an entry for every pc. Both fixpoints
+	// share the worklist and step on one scratch state each; the arenas
+	// back the sets of table entries (see arena).
+	at           []int32
+	states       [][]state // chunks of stateChunk entries
+	touched      []int
+	scratch      state
+	wl           worklist
+	succBuf      [2]int
+	slotArena    arena[slotFact]
+	locArena     arena[Loc]
+	keyArena     arena[memKey]
+	provArena    arena[provFact]
+	provRegArena arena[provReg]
 
 	seen map[vkey]bool
 	out  []Violation
@@ -189,37 +188,20 @@ type vkey struct {
 	kind   Kind
 }
 
-// verifiers recycles verifiers between Verify calls: the tables, arenas
-// and memo maps one program grew serve the next (see reset).
-var verifiers = sync.Pool{New: func() any { return newVerifier() }}
-
-func newVerifier() *verifier {
-	return &verifier{
+func newVerifier(p *codegen.Program) *verifier {
+	n := len(p.Instrs)
+	vf := &verifier{
+		p:       p,
 		callers: map[string][]int{},
+		pcID:    make([]int32, n),
 		slotID:  map[memKey]int32{},
 		joinID:  map[joinKey]int32{},
 		memSlot: map[memKey]int64{},
+		prov:    make([]provState, n),
+		at:      make([]int32, n),
+		wl:      worklist{q: make([]int, n), in: make([]bool, n)},
 		seen:    map[vkey]bool{},
 	}
-}
-
-// reset readies vf for p, keeping every buffer it already has.
-func (vf *verifier) reset(p *codegen.Program) {
-	n := len(p.Instrs)
-	vf.p = p
-	vf.prov = resize(vf.prov, n)
-	vf.states = resize(vf.states, n)
-	vf.pcID = resize(vf.pcID, n)
-	vf.inWL = resize(vf.inWL, n)
-	vf.touched = vf.touched[:0]
-	vf.provArena.reset()
-	clear(vf.callers)
-	clear(vf.slotID)
-	clear(vf.joinID)
-	clear(vf.memSlot)
-	clear(vf.seen)
-	vf.out = nil
-	vf.gbase = vf.gbase[:0]
 	for _, base := range p.GlobalBase {
 		vf.gbase = append(vf.gbase, base)
 	}
@@ -234,17 +216,28 @@ func (vf *verifier) reset(p *codegen.Program) {
 		vf.entryID[r] = vf.fresh()
 	}
 	vf.provPass()
+	return vf
 }
 
-// resize returns a zeroed slice of length n, reusing s if it is big
-// enough.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// stateChunk is the number of region states allocated together: the
+// table grows chunk by chunk, without copying the states it holds.
+const stateChunk = 16
+
+// state returns the i'th state the current region reached.
+func (vf *verifier) state(i int) *state { return &vf.states[i/stateChunk][i%stateChunk] }
+
+// newState adds an empty table entry for pc, which the region has just
+// reached.
+func (vf *verifier) newState(pc int) *state {
+	i := len(vf.touched)
+	if i == len(vf.states)*stateChunk {
+		vf.states = append(vf.states, make([]state, stateChunk))
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	vf.touched = append(vf.touched, pc)
+	vf.at[pc] = int32(i + 1)
+	st := vf.state(i)
+	*st = state{}
+	return st
 }
 
 func (vf *verifier) fresh() int32 {
@@ -288,26 +281,25 @@ func (vf *verifier) analyzeRegion(entry int) {
 		}
 	}
 	for _, pc := range vf.touched {
-		vf.states[pc].reached = false
-		vf.inWL[pc] = false
+		vf.at[pc] = 0
 	}
+	vf.touched = vf.touched[:0]
 	vf.slotArena.reset()
 	vf.locArena.reset()
 	vf.keyArena.reset()
 	vf.entryState(start)
-	vf.touched = append(vf.touched[:0], start)
-	wl := append(vf.wl[:0], start)
-	vf.inWL[start] = true
+	wl := &vf.wl
+	wl.clear()
+	wl.push(start)
 	sc := &vf.scratch
 	budget := 128*len(instrs) + 4096
-	for head := 0; head < len(wl); head++ {
-		if head >= budget {
+	for steps := 1; wl.n > 0; steps++ {
+		if steps > budget {
 			vf.violate(entry, entry, Loc{Space: SpaceAny}, KindBudget)
-			break
+			return
 		}
-		pc := wl[head]
-		vf.inWL[pc] = false
-		sc.load(&vf.states[pc])
+		pc := wl.pop()
+		sc.load(vf.state(int(vf.at[pc]) - 1))
 		for _, s := range vf.step(sc, pc, entry) {
 			if s < 0 || s >= len(instrs) {
 				vf.violate(entry, pc, Loc{Space: SpaceAny}, KindBadBranch)
@@ -316,21 +308,49 @@ func (vf *verifier) analyzeRegion(entry int) {
 			if instrs[s].Op == isa.MARK && instrs[s].Shadow == 0 {
 				continue // region boundary: state commits here
 			}
-			dst := &vf.states[s]
 			changed := true
-			if !dst.reached {
-				vf.store(dst, sc)
-				vf.touched = append(vf.touched, s)
+			if i := vf.at[s]; i == 0 {
+				vf.store(vf.newState(s), sc)
 			} else {
-				changed = dst.mergeFrom(sc, s, vf)
+				changed = vf.state(int(i)-1).mergeFrom(sc, s, vf)
 			}
-			if changed && !vf.inWL[s] {
-				wl = append(wl, s)
-				vf.inWL[s] = true
+			if changed {
+				wl.push(s)
 			}
 		}
 	}
-	vf.wl = wl
+}
+
+// worklist is the FIFO both fixpoints run: a ring of pcs, each queued at
+// most once (in marks the queued ones), so it never outgrows the program.
+type worklist struct {
+	q       []int
+	in      []bool
+	head, n int
+}
+
+func (w *worklist) push(pc int) {
+	if w.in[pc] {
+		return
+	}
+	w.in[pc] = true
+	w.q[(w.head+w.n)%len(w.q)] = pc
+	w.n++
+}
+
+func (w *worklist) pop() int {
+	pc := w.q[w.head]
+	w.in[pc] = false
+	w.head = (w.head + 1) % len(w.q)
+	w.n--
+	return pc
+}
+
+// clear empties the worklist.
+func (w *worklist) clear() {
+	for w.n > 0 {
+		w.pop()
+	}
 }
 
 // entryState models the machine at a region boundary in the table entry
@@ -342,17 +362,14 @@ func (vf *verifier) analyzeRegion(entry int) {
 // so different-object addresses stop may-aliasing.
 func (vf *verifier) entryState(start int) {
 	vf.regionStart = start
-	st := &vf.states[start]
-	*st = state{reached: true}
+	st := vf.newState(start)
 	pv := &vf.prov[start]
 	for r := 0; r < isa.NumRegs; r++ {
 		st.regs[r] = val{kind: vSym, base: vf.entryID[r], exact: true, rigid: true}
-		if pv.reached {
-			if pv.regs[r].ck {
-				st.regs[r] = vconst(pv.regs[r].cv)
-			} else {
-				st.regs[r].obj = pv.regs[r].obj
-			}
+		if f := pv.reg(isa.Reg(r)); f.ck {
+			st.regs[r] = vconst(f.cv)
+		} else {
+			st.regs[r].obj = f.obj
 		}
 	}
 	st.regs[isa.SP] = val{kind: vStack, base: 0, obj: -1, exact: true, rigid: true}
