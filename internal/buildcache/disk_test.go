@@ -192,6 +192,8 @@ func TestDiskMissingArtifactIsMissNotCorrupt(t *testing.T) {
 		codegen.ModuleOptions{Core: core.DefaultOptions()}); err != nil {
 		t.Fatal(err)
 	}
+	// Join the write-behind before the temp dir is removed under it.
+	flushDisk(t, c)
 	if s := c.Stats(); s.DiskMisses != 1 || s.DiskCorrupt != 0 || s.Compiles != 1 {
 		t.Fatalf("cold start: %d misses / %d corrupt / %d compiles, want 1/0/1", s.DiskMisses, s.DiskCorrupt, s.Compiles)
 	}

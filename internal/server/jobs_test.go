@@ -429,7 +429,12 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	}})
 
 	// First life: single worker so the slow tail is still pending when
-	// the first results land; shut down mid-job.
+	// the first results land; shut down mid-job, once the first slow unit
+	// is done. By then life 1 has built everything the job needs, and
+	// Shutdown flushes those builds to the artifact store, so the resume
+	// below must compile nothing. (Shutting down at cursor 1 raced the
+	// slow unit's build: when it had not started, the resume had to
+	// compile it.)
 	s1 := New(Config{Workers: 1, CacheDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	sub := submitJob(t, ts1, body)
@@ -443,7 +448,7 @@ func TestJobResumeAfterRestart(t *testing.T) {
 		if err := json.Unmarshal(b, &rep); err != nil {
 			t.Fatal(err)
 		}
-		if rep.NextCursor >= 1 {
+		if rep.NextCursor >= 3 {
 			break
 		}
 		if time.Now().After(deadline) {

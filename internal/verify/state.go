@@ -347,9 +347,9 @@ func cmpSlot(f slotFact, k memKey) int { return cmpKey(f.k, k) }
 // register and slot values (for provenance tracking through spills), the
 // exposed-read sets (may, union at joins) and the must-written kill sets
 // (intersection at joins). The memory sets are small sorted slices. A
-// state stored in the per-pc table owns its slices (they live in the
-// verifier's arenas and no other state refers to them); the scratch
-// state the transfer function runs on owns private buffers.
+// table entry owns its slices (they live in the verifier's arenas and no
+// other state refers to them); the scratch state the transfer function
+// runs on owns private buffers.
 type state struct {
 	regs  [isa.NumRegs]val
 	eregs regSet
@@ -393,18 +393,18 @@ func (a *arena[T]) copyOf(s []T) []T {
 
 // union returns the sorted set dst ∪ src and whether it differs from
 // dst; a grown set is written to the arena, dst is left untouched.
-func (a *arena[T]) union(dst, src []T, cmp func(a, b T) int) ([]T, bool) {
-	if subset(src, dst, cmp) {
+func (a *arena[T]) union(dst, src []T, compare func(a, b T) int) ([]T, bool) {
+	if subset(src, dst, compare) {
 		return dst, false
 	}
 	a.room(len(dst) + len(src))
 	n, i := len(a.buf), 0
 	for _, x := range src {
-		for i < len(dst) && cmp(dst[i], x) < 0 {
+		for i < len(dst) && compare(dst[i], x) < 0 {
 			a.buf = append(a.buf, dst[i])
 			i++
 		}
-		if i < len(dst) && cmp(dst[i], x) == 0 {
+		if i < len(dst) && compare(dst[i], x) == 0 {
 			continue
 		}
 		a.buf = append(a.buf, x)
@@ -415,13 +415,13 @@ func (a *arena[T]) union(dst, src []T, cmp func(a, b T) int) ([]T, bool) {
 
 // subset reports whether every element of the sorted set sub is in the
 // sorted set set.
-func subset[T any](sub, set []T, cmp func(a, b T) int) bool {
+func subset[T any](sub, set []T, compare func(a, b T) int) bool {
 	i := 0
 	for _, x := range sub {
-		for i < len(set) && cmp(set[i], x) < 0 {
+		for i < len(set) && compare(set[i], x) < 0 {
 			i++
 		}
-		if i == len(set) || cmp(set[i], x) != 0 {
+		if i == len(set) || compare(set[i], x) != 0 {
 			return false
 		}
 	}
