@@ -731,9 +731,9 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// anchor, spilled constants their value. Base 0 is the
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
-				if k.base == 0 {
-					if ps := &vf.prov[vf.regionStart]; ps.reached && ps.reg(isa.SP).ck {
-						f := factAt(ps.mem, ps.reg(isa.SP).cv+k.off)
+				if ps := &vf.prov[vf.regionStart]; k.base == 0 {
+					if sp := ps.reg(isa.SP); sp.ck {
+						f := factAt(ps.mem, sp.cv+k.off)
 						if f.ck {
 							res = vconst(f.cv)
 						} else {
