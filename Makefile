@@ -138,10 +138,9 @@ bench-sim: build
 # allocs/op of each to BENCH_verify.json. It fails when verifying costs
 # more than compiling: every build the service hands out is verified, so
 # the validator must stay within the compile's budget.
-BENCH_VERIFY_COUNT ?= 3
 bench-verify: build
 	@$(GO) test -run '^$$' -bench 'BenchmarkCompile$$|BenchmarkVerify$$' \
-		-benchtime $(BENCH_VERIFY_COUNT)x -benchmem . | tee BENCH_verify.txt
+		-benchtime 3x -benchmem . | tee BENCH_verify.txt
 	@awk ' \
 		/^Benchmark(Compile|Verify)/ { name = ($$1 ~ /^BenchmarkCompile/) ? "compile" : "verify"; \
 			for (i=1; i<=NF; i++) { \

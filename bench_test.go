@@ -24,6 +24,7 @@ import (
 	"idemproc/internal/limit"
 	"idemproc/internal/machine"
 	"idemproc/internal/verify"
+	"idemproc/internal/verify/verifytest"
 	"idemproc/internal/workloads"
 )
 
@@ -327,31 +328,6 @@ func BenchmarkAblationPureCalls(b *testing.B) {
 	}
 }
 
-// verifyMatrix is the ModuleOptions grid of internal/verify's
-// TestWorkloadMatrixClean: the paper's default configuration plus the
-// variants that change region shape. Over the 31 workloads it gives the
-// 279 builds BenchmarkCompile and BenchmarkVerify measure.
-func verifyMatrix() []codegen.ModuleOptions {
-	withMax := func(n int) core.Options {
-		o := core.DefaultOptions()
-		o.MaxRegionSize = n
-		return o
-	}
-	noRedElim := core.DefaultOptions()
-	noRedElim.RedElim = false
-	var out []codegen.ModuleOptions
-	for _, o := range []core.Options{
-		core.DefaultOptions(),
-		{LoopHeuristic: true, RedElim: true, CutAtCalls: true},
-		withMax(8), withMax(16), withMax(32), withMax(64),
-		{RedElim: true, UnrollLoops: true, CutAtCalls: true},
-		noRedElim,
-	} {
-		out = append(out, codegen.ModuleOptions{Idempotent: true, Core: o})
-	}
-	return append(out, codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions(), PureCalls: true})
-}
-
 // BenchmarkCompile measures the compiler proper (region construction,
 // register allocation, code generation and linking) over the 279 verify
 // matrix builds; one op compiles all of them. The frontend runs with the
@@ -360,12 +336,12 @@ func BenchmarkCompile(b *testing.B) {
 	ws := workloads.All()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, mo := range verifyMatrix() {
+		for _, v := range verifytest.Matrix() {
 			for _, w := range ws {
 				b.StopTimer()
 				m := w.Module()
 				b.StartTimer()
-				if _, _, err := codegen.CompileModuleOpts(m, "main", w.MemWords, mo); err != nil {
+				if _, _, err := codegen.CompileModuleOpts(m, "main", w.MemWords, v.MO); err != nil {
 					b.Fatalf("%s: %v", w.Name, err)
 				}
 			}
@@ -378,9 +354,9 @@ func BenchmarkCompile(b *testing.B) {
 // verify ns/op <= BenchmarkCompile ns/op.
 func BenchmarkVerify(b *testing.B) {
 	var progs []*codegen.Program
-	for _, mo := range verifyMatrix() {
+	for _, v := range verifytest.Matrix() {
 		for _, w := range workloads.All() {
-			p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
+			p, _, err := codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, v.MO)
 			if err != nil {
 				b.Fatalf("%s: %v", w.Name, err)
 			}

@@ -428,13 +428,14 @@ func TestJobResumeAfterRestart(t *testing.T) {
 		{Simulate: &SimulateRequest{Source: slowSource, Args: []uint64{300_002}}},
 	}})
 
-	// First life: single worker so the slow tail is still pending when
-	// the first results land; shut down mid-job, once the first slow unit
-	// is done. By then life 1 has built everything the job needs, and
-	// Shutdown flushes those builds to the artifact store, so the resume
-	// below must compile nothing. (Shutting down at cursor 1 raced the
-	// slow unit's build: when it had not started, the resume had to
-	// compile it.)
+	// First life: a single worker runs the units in order. Shut down
+	// mid-job, once the first slow unit is done: by then life 1 has built
+	// everything the job needs (a build is queued for the artifact store
+	// before any unit can use it, and Shutdown flushes that queue), so the
+	// resume below must compile nothing, while two slow units are still
+	// pending, so there is something to resume. (Shutting down at cursor 1
+	// raced the slow unit's build: when it had not started, the resume had
+	// to compile it.)
 	s1 := New(Config{Workers: 1, CacheDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	sub := submitJob(t, ts1, body)
@@ -461,7 +462,9 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	}
 	cancel()
 	ts1.Close()
-	interrupted := s1.Jobs().Stats().Completed == 0
+	if c := s1.Jobs().Stats().Completed; c != 0 {
+		t.Fatalf("life 1 completed %d jobs before shutdown, want the job interrupted", c)
+	}
 
 	// Second life over the same cache dir: artifact scan first (as
 	// cmd/idemd does), then job recovery.
@@ -474,7 +477,7 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if rs.Resumed+rs.Complete != 1 {
 		t.Fatalf("recover stats = %+v, want exactly the one job back", rs)
 	}
-	if interrupted && rs.Units == 0 {
+	if rs.Units == 0 {
 		t.Fatal("interrupted job recovered zero journaled units")
 	}
 	ts2 := httptest.NewServer(s2.Handler())
@@ -484,10 +487,8 @@ func TestJobResumeAfterRestart(t *testing.T) {
 	if len(lines) != sub.Units {
 		t.Fatalf("resumed stream returned %d lines, want %d", len(lines), sub.Units)
 	}
-	if interrupted {
-		if got := s2.Jobs().Stats().ResumedUnits; got == 0 {
-			t.Fatal("resumed-units counter is zero for an interrupted job")
-		}
+	if got := s2.Jobs().Stats().ResumedUnits; got == 0 {
+		t.Fatal("resumed-units counter is zero for an interrupted job")
 	}
 	// Zero recompiles: every build the resumed units needed came from
 	// the persisted artifact store.

@@ -28,6 +28,7 @@ import (
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
 	"idemproc/internal/isa"
+	"idemproc/internal/verify/verifytest"
 	"idemproc/internal/workloads"
 )
 
@@ -62,8 +63,8 @@ func provText(vf *verifier, pc int) string {
 		return "-"
 	}
 	var b strings.Builder
-	for r := 0; r < isa.NumRegs; r++ {
-		if f := ps.reg(isa.Reg(r)); f != (provReg{}) {
+	for r, f := range ps.regs {
+		if f != (provReg{}) {
 			fmt.Fprintf(&b, "r%d=%d/%t/%d;", r, f.obj, f.ck, f.cv)
 		}
 	}
@@ -97,10 +98,10 @@ func verifyDigest(p *codegen.Program) string {
 // digestPrograms returns every program the golden file pins, by key.
 func digestPrograms(t *testing.T) map[string]func() *codegen.Program {
 	progs := map[string]func() *codegen.Program{}
-	for _, m := range matrix {
+	for _, m := range verifytest.Matrix() {
 		for _, w := range workloads.All() {
 			m, w := m, w
-			progs[w.Name+"/"+m.name] = func() *codegen.Program { return compile(t, w, m.mo) }
+			progs[w.Name+"/"+m.Name] = func() *codegen.Program { return compile(t, w, m.MO) }
 		}
 	}
 	for _, w := range workloads.All() {

@@ -2,7 +2,6 @@ package verify
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 
 	"idemproc/internal/isa"
@@ -49,38 +48,19 @@ func factAt(mem []provFact, a int64) provReg {
 	return provReg{}
 }
 
-// provState is the pre-pass dataflow state at one pc: facts about
-// registers, plus facts about absolutely-addressed memory words (sorted
-// by address, none empty). SP is itself tracked as a constant (the
-// startup stub materializes it and frames adjust it by immediates), so
-// spill slots have known absolute addresses and survive the pass — which
-// is what lets a pointer spilled before a MARK and reloaded after it
-// keep its provenance.
-//
-// Only registers with a fact are stored (a handful per pc): live has a
-// bit for each, and regs holds their facts in register order. Both
-// slices live in the verifier's arenas and belong to this entry alone.
+// provState is the pre-pass dataflow state at one pc: a fact per
+// register, plus facts about absolutely-addressed memory words (sorted by
+// address, none empty). SP is itself tracked as a constant (the startup
+// stub materializes it and frames adjust it by immediates), so spill
+// slots have known absolute addresses and survive the pass — which is
+// what lets a pointer spilled before a MARK and reloaded after it keep
+// its provenance. As in the region analysis, a table entry owns its mem
+// slice (it lives in the verifier's arena) and the scratch state owns a
+// private buffer. An entry the pass never reached holds no facts.
 type provState struct {
-	live    regSet
-	regs    []provReg
+	regs    [isa.NumRegs]provReg
 	mem     []provFact
 	reached bool
-}
-
-// reg returns the fact about register r (empty if none).
-func (s *provState) reg(r isa.Reg) provReg {
-	if !s.live.has(r) {
-		return provReg{}
-	}
-	return s.regs[bits.OnesCount64(uint64(s.live&(1<<r-1)))]
-}
-
-// provScratch is the state provStep runs on: the whole register file, so
-// the transfer function indexes registers directly, and a private buffer
-// for the memory facts.
-type provScratch struct {
-	regs [isa.NumRegs]provReg
-	mem  []provFact
 }
 
 // provPass computes per-pc provenance into vf.prov, flowing straight
@@ -115,15 +95,11 @@ func (vf *verifier) provPass() {
 	vf.prov[entry].reached = true
 	wl := &vf.wl
 	wl.push(entry)
-	var out provScratch
+	var out provState
 	for wl.n > 0 {
 		pc := wl.pop()
-		src := &vf.prov[pc]
-		out.regs = [isa.NumRegs]provReg{}
-		for i, m := 0, src.live; m != 0; i, m = i+1, m&(m-1) {
-			out.regs[bits.TrailingZeros64(uint64(m))] = src.regs[i]
-		}
-		out.mem = append(out.mem[:0], src.mem...)
+		out.regs = vf.prov[pc].regs
+		out.mem = append(out.mem[:0], vf.prov[pc].mem...)
 		vf.provStep(&out, pc)
 		for _, s := range vf.succs(pc) {
 			if s < 0 || s >= len(instrs) {
@@ -132,7 +108,9 @@ func (vf *verifier) provPass() {
 			cur := &vf.prov[s]
 			changed := true
 			if !cur.reached {
-				vf.storeProv(cur, &out)
+				cur.regs = out.regs
+				cur.mem = vf.provArena.copyOf(out.mem)
+				cur.reached = true
 			} else {
 				changed = cur.join(&out)
 			}
@@ -143,45 +121,17 @@ func (vf *verifier) provPass() {
 	}
 }
 
-// storeProv makes the table entry dst a copy of the scratch state sc.
-func (vf *verifier) storeProv(dst *provState, sc *provScratch) {
-	var facts [isa.NumRegs]provReg
-	k := 0
-	dst.live = 0
-	for r, f := range sc.regs {
-		if f != (provReg{}) {
-			dst.live |= 1 << r
-			facts[k] = f
-			k++
-		}
-	}
-	dst.regs = vf.provRegArena.copyOf(facts[:k])
-	dst.mem = vf.provArena.copyOf(sc.mem)
-	dst.reached = true
-}
-
 // join degrades cur to the facts that also hold in out, reporting
-// change. Facts only drop or weaken, so cur's slices are rewritten in
+// change. Memory facts only drop or weaken, so cur.mem is rewritten in
 // place.
-func (cur *provState) join(out *provScratch) bool {
+func (cur *provState) join(out *provState) bool {
 	changed := false
-	n, i := 0, 0
-	for m := cur.live; m != 0; m &= m - 1 {
-		r := bits.TrailingZeros64(uint64(m))
-		c := cur.regs[i]
-		i++
-		if j := c.meet(out.regs[r]); j != c {
+	for r, c := range cur.regs {
+		if m := c.meet(out.regs[r]); m != c {
+			cur.regs[r] = m
 			changed = true
-			if j == (provReg{}) {
-				cur.live &^= 1 << r
-				continue
-			}
-			c = j
 		}
-		cur.regs[n] = c
-		n++
 	}
-	cur.regs = cur.regs[:n]
 	n, j := 0, 0
 	for _, cf := range cur.mem {
 		for j < len(out.mem) && out.mem[j].addr < cf.addr {
@@ -208,7 +158,7 @@ func (cur *provState) join(out *provScratch) bool {
 // provStep is the transfer function: track global anchors and constants
 // through moves, arithmetic and constant-addressed memory, drop them
 // everywhere else.
-func (vf *verifier) provStep(st *provScratch, pc int) {
+func (vf *verifier) provStep(st *provState, pc int) {
 	in := &vf.p.Instrs[pc]
 	if in.Shadow != 0 || in.Meta {
 		return

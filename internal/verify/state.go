@@ -351,12 +351,13 @@ func cmpSlot(f slotFact, k memKey) int { return cmpKey(f.k, k) }
 // other state refers to them); the scratch state the transfer function
 // runs on owns private buffers.
 type state struct {
-	regs  [isa.NumRegs]val
-	eregs regSet
-	wregs regSet
-	mem   []slotFact // sorted by key
-	emem  []Loc      // sorted by cmpLoc
-	wmem  []memKey   // sorted by cmpKey
+	regs    [isa.NumRegs]val
+	eregs   regSet
+	wregs   regSet
+	mem     []slotFact // sorted by key
+	emem    []Loc      // sorted by cmpLoc
+	wmem    []memKey   // sorted by cmpKey
+	reached bool
 }
 
 // arena is append-only backing storage for the sets of table entries,
@@ -732,7 +733,7 @@ func (vf *verifier) step(st *state, pc, region int) []int {
 				// region-entry SP, so the absolute slot address is known
 				// whenever SP's is.
 				if ps := &vf.prov[vf.regionStart]; k.base == 0 {
-					if sp := ps.reg(isa.SP); sp.ck {
+					if sp := ps.regs[isa.SP]; sp.ck {
 						f := factAt(ps.mem, sp.cv+k.off)
 						if f.ck {
 							res = vconst(f.cv)

@@ -154,24 +154,20 @@ type verifier struct {
 	joinID  map[joinKey]int32  // degraded values at join points
 	memSlot map[memKey]int64   // stable slot index for join keying
 
-	// The region analysis keeps the states of the pcs a region reached
-	// densely, in first-visit order: touched[i] is the pc of state(i),
-	// and at[pc] is i+1 (0 while the region has not reached pc). The next
-	// region resets only those entries and reuses the storage. The
-	// pre-pass table (prov) has an entry for every pc. Both fixpoints
-	// share the worklist and step on one scratch state each; the arenas
-	// back the sets of table entries (see arena).
-	at           []int32
-	states       [][]state // chunks of stateChunk entries
-	touched      []int
-	scratch      state
-	wl           worklist
-	succBuf      [2]int
-	slotArena    arena[slotFact]
-	locArena     arena[Loc]
-	keyArena     arena[memKey]
-	provArena    arena[provFact]
-	provRegArena arena[provReg]
+	// The dataflow tables: one entry per pc, allocated once per program.
+	// The region table is reused by every region: touched lists the
+	// entries a region reached, so the next region resets only those.
+	// Both fixpoints share the worklist and step on one scratch state
+	// each; the arenas back the memory sets of table entries (see arena).
+	states    []state
+	touched   []int
+	scratch   state
+	wl        worklist
+	succBuf   [2]int
+	slotArena arena[slotFact]
+	locArena  arena[Loc]
+	keyArena  arena[memKey]
+	provArena arena[provFact]
 
 	seen map[vkey]bool
 	out  []Violation
@@ -198,7 +194,7 @@ func newVerifier(p *codegen.Program) *verifier {
 		joinID:  map[joinKey]int32{},
 		memSlot: map[memKey]int64{},
 		prov:    make([]provState, n),
-		at:      make([]int32, n),
+		states:  make([]state, n),
 		wl:      worklist{q: make([]int, n), in: make([]bool, n)},
 		seen:    map[vkey]bool{},
 	}
@@ -219,24 +215,12 @@ func newVerifier(p *codegen.Program) *verifier {
 	return vf
 }
 
-// stateChunk is the number of region states allocated together: the
-// table grows chunk by chunk, without copying the states it holds.
-const stateChunk = 16
-
-// state returns the i'th state the current region reached.
-func (vf *verifier) state(i int) *state { return &vf.states[i/stateChunk][i%stateChunk] }
-
-// newState adds an empty table entry for pc, which the region has just
-// reached.
-func (vf *verifier) newState(pc int) *state {
-	i := len(vf.touched)
-	if i == len(vf.states)*stateChunk {
-		vf.states = append(vf.states, make([]state, stateChunk))
-	}
+// reach marks pc reached by the current region and returns its table
+// entry, emptied.
+func (vf *verifier) reach(pc int) *state {
 	vf.touched = append(vf.touched, pc)
-	vf.at[pc] = int32(i + 1)
-	st := vf.state(i)
-	*st = state{}
+	st := &vf.states[pc]
+	*st = state{reached: true}
 	return st
 }
 
@@ -281,7 +265,7 @@ func (vf *verifier) analyzeRegion(entry int) {
 		}
 	}
 	for _, pc := range vf.touched {
-		vf.at[pc] = 0
+		vf.states[pc].reached = false
 	}
 	vf.touched = vf.touched[:0]
 	vf.slotArena.reset()
@@ -299,7 +283,7 @@ func (vf *verifier) analyzeRegion(entry int) {
 			return
 		}
 		pc := wl.pop()
-		sc.load(vf.state(int(vf.at[pc]) - 1))
+		sc.load(&vf.states[pc])
 		for _, s := range vf.step(sc, pc, entry) {
 			if s < 0 || s >= len(instrs) {
 				vf.violate(entry, pc, Loc{Space: SpaceAny}, KindBadBranch)
@@ -309,10 +293,10 @@ func (vf *verifier) analyzeRegion(entry int) {
 				continue // region boundary: state commits here
 			}
 			changed := true
-			if i := vf.at[s]; i == 0 {
-				vf.store(vf.newState(s), sc)
+			if dst := &vf.states[s]; !dst.reached {
+				vf.store(vf.reach(s), sc)
 			} else {
-				changed = vf.state(int(i)-1).mergeFrom(sc, s, vf)
+				changed = dst.mergeFrom(sc, s, vf)
 			}
 			if changed {
 				wl.push(s)
@@ -362,11 +346,11 @@ func (w *worklist) clear() {
 // so different-object addresses stop may-aliasing.
 func (vf *verifier) entryState(start int) {
 	vf.regionStart = start
-	st := vf.newState(start)
+	st := vf.reach(start)
 	pv := &vf.prov[start]
-	for r := 0; r < isa.NumRegs; r++ {
+	for r, f := range pv.regs {
 		st.regs[r] = val{kind: vSym, base: vf.entryID[r], exact: true, rigid: true}
-		if f := pv.reg(isa.Reg(r)); f.ck {
+		if f.ck {
 			st.regs[r] = vconst(f.cv)
 		} else {
 			st.regs[r].obj = f.obj

@@ -6,38 +6,9 @@ import (
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
 	"idemproc/internal/isa"
+	"idemproc/internal/verify/verifytest"
 	"idemproc/internal/workloads"
 )
-
-// matrix is the ModuleOptions grid every workload must verify cleanly
-// under: the paper's default configuration plus the scheme variants that
-// change region shape (pure-call regions, no unroll, bounded regions, no
-// loop heuristic).
-var matrix = []struct {
-	name string
-	mo   codegen.ModuleOptions
-}{
-	{"default", codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}},
-	{"purecalls", codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions(), PureCalls: true}},
-	{"nounroll", codegen.ModuleOptions{Idempotent: true,
-		Core: core.Options{LoopHeuristic: true, RedElim: true, CutAtCalls: true}}},
-	{"maxregion8", codegen.ModuleOptions{Idempotent: true,
-		Core: func() core.Options { o := core.DefaultOptions(); o.MaxRegionSize = 8; return o }()}},
-	// The other MaxRegionSize tiers the service's load palette requests:
-	// mid-size bounds split computations mid-expression, stranding
-	// constants and spilled pointers on the far side of a MARK — the cases
-	// the pre-pass (prov.go) exists for.
-	{"maxregion16", codegen.ModuleOptions{Idempotent: true,
-		Core: func() core.Options { o := core.DefaultOptions(); o.MaxRegionSize = 16; return o }()}},
-	{"maxregion32", codegen.ModuleOptions{Idempotent: true,
-		Core: func() core.Options { o := core.DefaultOptions(); o.MaxRegionSize = 32; return o }()}},
-	{"maxregion64", codegen.ModuleOptions{Idempotent: true,
-		Core: func() core.Options { o := core.DefaultOptions(); o.MaxRegionSize = 64; return o }()}},
-	{"noloopheur", codegen.ModuleOptions{Idempotent: true,
-		Core: core.Options{RedElim: true, UnrollLoops: true, CutAtCalls: true}}},
-	{"redelim-off", codegen.ModuleOptions{Idempotent: true,
-		Core: func() core.Options { o := core.DefaultOptions(); o.RedElim = false; return o }()}},
-}
 
 func compile(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions) *codegen.Program {
 	t.Helper()
@@ -52,22 +23,22 @@ func compile(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions) *code
 // compiler output over the full workload × ModuleOptions matrix must
 // verify with zero violations.
 func TestWorkloadMatrixClean(t *testing.T) {
-	for _, m := range matrix {
+	for _, m := range verifytest.Matrix() {
 		m := m
-		t.Run(m.name, func(t *testing.T) {
+		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, w := range workloads.All() {
-				p := compile(t, w, m.mo)
+				p := compile(t, w, m.MO)
 				rep := Verify(p)
 				if rep.Skipped {
-					t.Errorf("%s/%s: unexpectedly skipped (marks=%d)", m.name, w.Name, p.Marks)
+					t.Errorf("%s/%s: unexpectedly skipped (marks=%d)", m.Name, w.Name, p.Marks)
 					continue
 				}
 				if !rep.OK() {
-					t.Errorf("%s/%s: %s", m.name, w.Name, rep.Render(p))
+					t.Errorf("%s/%s: %s", m.Name, w.Name, rep.Render(p))
 				}
 				if rep.Regions < 2 {
-					t.Errorf("%s/%s: only %d regions analyzed", m.name, w.Name, rep.Regions)
+					t.Errorf("%s/%s: only %d regions analyzed", m.Name, w.Name, rep.Regions)
 				}
 			}
 		})
