@@ -10,14 +10,14 @@
 //	idemload -addr $(cat /tmp/idemd.addr) -repeat 2 -min-hit-ratio 0.5
 //	idemload -addr ... -json BENCH_serve.json
 //
-// Resilience and chaos: -retries/-hedge-after enable idempotence-
-// justified re-execution through internal/resilience, and -chaos-seed
+// Resilience and chaos: -retries enables idempotence-justified
+// re-execution through internal/resilience, and -chaos-seed
 // interposes a seeded internal/chaos fault proxy between the generator
 // and the daemon — together they run the end-to-end campaign that
 // docs/resilience.md describes: under injected transport faults the
 // client must converge to the same digest a fault-free run produces.
 //
-//	idemload -addr ... -chaos-seed 7 -chaos-rates 10,6,6,6 -retries 8 -hedge-after 75ms
+//	idemload -addr ... -chaos-seed 7 -chaos-rates 10,6,6,6 -retries 8
 //
 // Async jobs: -jobs swaps the request mix for one deterministic batch
 // submitted via POST /v1/jobs, consumed through cursor long-polls (or
@@ -33,14 +33,15 @@
 //	idemload -addr ... -jobs -stream -expect-digest <hex> -max-compiles 0 -min-resumed-units 1
 //
 // Exit status is nonzero on any permanently failed request, any
-// non-200 response, a digest or idempotence mismatch, or an unmet
-// -min-hit-ratio / -min-evictions / -min-disk-hit-ratio / -max-compiles
-// / -min-verified assertion (scraped from the daemon's /metrics, so
-// smoke-test scripts need no curl/jq). The disk assertions drive the
-// warm-restart tests against `idemd -cache-dir` (docs/persistence.md);
-// -min-verified drives the translation-validation smoke against
-// `idemd -verify-mode full` (docs/verify.md). SIGINT/SIGTERM flushes
-// partial -json results and exits 130.
+// non-200 response, a digest mismatch (between -repeat passes or
+// against -expect-digest), or an unmet -min-hit-ratio / -min-evictions
+// / -min-disk-hit-ratio / -max-compiles / -min-verified assertion
+// (scraped from the daemon's /metrics, so smoke-test scripts need no
+// curl/jq). The disk assertions drive the warm-restart tests against
+// `idemd -cache-dir` (docs/persistence.md); -min-verified drives the
+// translation-validation smoke against `idemd -verify-mode full`
+// (docs/verify.md). SIGINT/SIGTERM flushes partial -json results and
+// exits 130.
 package main
 
 import (
@@ -112,7 +113,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		minResumedUnits = fs.Int64("min-resumed-units", -1, "assert at least this many unit results were reloaded from job journals instead of re-executed (scraped idemd_jobs_resumed_units_total; <0 disables)")
 
 		retries    = fs.Int("retries", 0, "re-execute failed requests up to this many times (safe: responses are idempotent)")
-		hedgeAfter = fs.Duration("hedge-after", 0, "launch a hedged duplicate if a request is still in flight after this long (0 disables)")
 		breakerThr = fs.Int("breaker-threshold", 8, "open the retry circuit breaker after this many consecutive failures (0 disables)")
 		chaosSeed  = fs.Uint64("chaos-seed", 0, "interpose a seeded fault-injection proxy (0 disables)")
 		chaosRates = fs.String("chaos-rates", "10,6,6,6", "latency,error500,reset,truncate fault percentages for -chaos-seed")
@@ -201,12 +201,10 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 
 	client := &http.Client{Timeout: *timeout}
 	var rc *resilience.Client
-	if *retries > 0 || *hedgeAfter > 0 {
+	if *retries > 0 {
 		rc = resilience.NewClient(resilience.Policy{
 			MaxRetries:       *retries,
-			HedgeAfter:       *hedgeAfter,
 			Seed:             *seed,
-			VerifyIdentical:  *hedgeAfter > 0,
 			BreakerThreshold: *breakerThr,
 		})
 	}
@@ -434,17 +432,10 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		flush("digest mismatch against -expect-digest")
 		return 1
 	}
-	if rc != nil {
+	if rc != nil && !*quiet {
 		s := rc.Counters()
-		if !*quiet {
-			fmt.Fprintf(stdout, "resilience: %d attempts, %d retries, %d hedges (%d wins), %d breaker opens, %d mismatches\n",
-				s.Attempts, s.Retries, s.Hedges, s.HedgeWins, s.BreakerOpens, s.Mismatches)
-		}
-		if s.Mismatches > 0 {
-			fmt.Fprintf(stderr, "idemload: %d idempotence violations: re-executed requests produced diverging responses\n", s.Mismatches)
-			flush("idempotence violation")
-			return 1
-		}
+		fmt.Fprintf(stdout, "resilience: %d attempts, %d retries, %d breaker opens\n",
+			s.Attempts, s.Retries, s.BreakerOpens)
 	}
 	if proxy != nil && !*quiet {
 		c := proxy.Counters()
@@ -598,7 +589,7 @@ type passResult struct {
 	errSamples []string
 }
 
-// sender executes one request (possibly with retries/hedging behind it).
+// sender executes one request (possibly with retries behind it).
 // key is the request index, feeding the deterministic jitter stream.
 type sender func(ctx context.Context, key uint64, path string, body []byte) (int, []byte, error)
 

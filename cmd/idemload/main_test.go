@@ -67,11 +67,10 @@ func loadSummary(t *testing.T, path string) map[string]any {
 
 // TestChaosCampaignConverges is the end-to-end resilience proof: a
 // seeded fault proxy injects latency, 500s, connection resets and
-// truncated bodies, and with retries + hedging enabled the campaign
-// must still finish with zero permanently failed requests, zero
-// idempotence mismatches, and the *same* response digest as a
-// fault-free run — recovery by re-execution, end to end. Rerunning the
-// same chaos seed must reproduce the same outcome.
+// truncated bodies, and with retries enabled the campaign must still
+// finish with zero permanently failed requests and the *same* response
+// digest as a fault-free run — recovery by re-execution, end to end.
+// Rerunning the same chaos seed must reproduce the same outcome.
 func TestChaosCampaignConverges(t *testing.T) {
 	addr := startServer(t)
 	dir := t.TempDir()
@@ -91,26 +90,19 @@ func TestChaosCampaignConverges(t *testing.T) {
 	}
 
 	clean := run("clean")
-	// The hedge threshold sits above typical request latency so only the
-	// genuine tail hedges — hedging every heavy simulation would double
-	// server work and (under -race) the test's wall time.
 	chaosArgs := []string{
-		"-chaos-seed", "3", "-chaos-rates", "12,8,8,8",
-		"-retries", "8", "-hedge-after", "500ms",
+		"-chaos-seed", "3", "-chaos-rates", "12,8,8,8", "-retries", "8",
 	}
 	chaotic := run("chaos", chaosArgs...)
 	replay := run("chaos-replay", chaosArgs...)
 
-	// Zero lost requests, zero mismatches, same digest as fault-free.
+	// Zero lost requests, same digest as fault-free.
 	if got, want := chaotic["digest"], clean["digest"]; got != want {
 		t.Errorf("chaos digest %v != clean digest %v — faults changed responses", got, want)
 	}
 	res, ok := chaotic["resilience"].(map[string]any)
 	if !ok {
 		t.Fatalf("summary has no resilience section: %v", chaotic)
-	}
-	if mm := res["digest_mismatches"].(float64); mm != 0 {
-		t.Errorf("digest_mismatches = %v, want 0", mm)
 	}
 	if fails := res["failures"].(float64); fails != 0 {
 		t.Errorf("permanent failures = %v, want 0", fails)

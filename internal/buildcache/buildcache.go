@@ -136,6 +136,36 @@ func NewBoundedDisk(maxBytes int64, dir string) *Cache {
 // caches.
 func (c *Cache) Disk() *Disk { return c.disk }
 
+// Close waits for every in-flight build to finish and then for the disk
+// tier's write-behind to land (or for ctx to expire), so everything the
+// cache built is persisted when Close returns. It is the lifecycle call
+// for an owner that is about to exit or remove the store; the cache
+// stays usable afterwards.
+func (c *Cache) Close(ctx context.Context) error {
+	// An entry joins the LRU only when its build completes, after the
+	// build queued its write-behind; entries without an LRU node are the
+	// builds still running.
+	c.mu.Lock()
+	var building []chan struct{}
+	for _, e := range c.entries {
+		if e.elem == nil {
+			building = append(building, e.done)
+		}
+	}
+	c.mu.Unlock()
+	for _, done := range building {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	if c.disk == nil {
+		return nil
+	}
+	return c.disk.Flush(ctx)
+}
+
 // Compile returns the compiled program for (w, mo), building it on first
 // request and serving the memoized result afterwards. Concurrent calls
 // with the same key perform exactly one compile. Errors are memoized too

@@ -14,12 +14,14 @@ import (
 	"idemproc/internal/workloads"
 )
 
-func flushDisk(t *testing.T, c *Cache) {
+// closeCache joins c's builds and write-behind, so the artifacts are
+// on disk and the test's temp dir can be removed.
+func closeCache(t *testing.T, c *Cache) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := c.Disk().Flush(ctx); err != nil {
-		t.Fatalf("flush: %v", err)
+	if err := c.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }
 
@@ -62,7 +64,7 @@ func TestDiskTierWarmRestart(t *testing.T) {
 		}
 		originals[i] = codegen.EncodeProgram(p, st)
 	}
-	flushDisk(t, c1)
+	closeCache(t, c1)
 	if st := c1.Stats(); st.Compiles != int64(len(configs)) || st.DiskWrites != int64(len(configs)) {
 		t.Fatalf("first run: %d compiles / %d writes, want %d of each", st.Compiles, st.DiskWrites, len(configs))
 	}
@@ -141,7 +143,7 @@ func TestDiskCorruptArtifactsRecompile(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := codegen.EncodeProgram(p, st)
-			flushDisk(t, c1)
+			closeCache(t, c1)
 
 			files := artifactFiles(t, dir)
 			if len(files) != 1 {
@@ -172,7 +174,7 @@ func TestDiskCorruptArtifactsRecompile(t *testing.T) {
 			}
 			// The recompile re-persists: after a flush the artifact is valid
 			// again and a third cache serves it from disk.
-			flushDisk(t, c2)
+			closeCache(t, c2)
 			c3 := NewBoundedDisk(0, dir)
 			if _, _, err := c3.Compile(context.Background(), w, mo); err != nil {
 				t.Fatal(err)
@@ -193,7 +195,7 @@ func TestDiskMissingArtifactIsMissNotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Join the write-behind before the temp dir is removed under it.
-	flushDisk(t, c)
+	closeCache(t, c)
 	if s := c.Stats(); s.DiskMisses != 1 || s.DiskCorrupt != 0 || s.Compiles != 1 {
 		t.Fatalf("cold start: %d misses / %d corrupt / %d compiles, want 1/0/1", s.DiskMisses, s.DiskCorrupt, s.Compiles)
 	}
@@ -208,7 +210,7 @@ func TestDiskErrorsNotPersisted(t *testing.T) {
 	if _, _, err := c.Compile(context.Background(), w, codegen.ModuleOptions{Core: core.DefaultOptions()}); err == nil {
 		t.Fatal("broken workload compiled successfully")
 	}
-	flushDisk(t, c)
+	closeCache(t, c)
 	if files := artifactFiles(t, dir); len(files) != 0 {
 		t.Fatalf("error entry persisted %d artifacts", len(files))
 	}
@@ -257,7 +259,7 @@ func TestDiskScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flushDisk(t, c)
+	closeCache(t, c)
 
 	files := artifactFiles(t, dir)
 	if len(files) != 2 {
@@ -311,7 +313,7 @@ func TestDiskTierWithEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flushDisk(t, c)
+	closeCache(t, c)
 	if st := c.Stats(); st.Evictions == 0 {
 		t.Skipf("bound %d evicted nothing; eviction covered elsewhere", bound)
 	}

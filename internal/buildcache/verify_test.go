@@ -107,7 +107,7 @@ func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 
 	// The pruned artifact is replaced by the fresh compile's write-behind;
 	// a new cache must now serve a verified program from disk alone.
-	flushDisk(t, c)
+	closeCache(t, c)
 	c2 := NewBoundedDisk(0, dir)
 	c2.SetVerifyMode(VerifyFull)
 	if _, _, err := c2.Compile(context.Background(), w, mo); err != nil {

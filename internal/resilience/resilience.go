@@ -1,15 +1,14 @@
 // Package resilience implements safe re-execution over the idemd API:
-// seeded-deterministic retries with exponential backoff, hedged requests
-// for tail latency, and a circuit breaker around overload.
+// seeded-deterministic retries with exponential backoff and a circuit
+// breaker around overload.
 //
-// All three mechanisms are justified by the same property the paper
-// exploits at region granularity: idempotence. Every /v1/* response is
-// a deterministic function of the request body (content-keyed compiles,
-// seeded simulations), so re-executing a failed or slow request cannot
-// change the answer — at worst it wastes work, never correctness. The
-// package makes that claim checkable: with Policy.VerifyIdentical set,
-// hedged siblings that both succeed are compared byte-for-byte and a
-// divergence is reported as ErrDivergent instead of being papered over.
+// Both mechanisms are justified by the same property the paper exploits
+// at region granularity: idempotence. Every /v1/* response is a
+// deterministic function of the request body (content-keyed compiles,
+// seeded simulations), so re-executing a failed request cannot change
+// the answer — at worst it wastes work, never correctness. As in the
+// paper's recovery model, a failed unit is re-executed after it fails;
+// two copies are never raced.
 //
 // Determinism: all jitter and backoff decisions derive from a splitmix64
 // stream seeded by (Policy.Seed, request key, attempt), so a campaign
@@ -28,12 +27,6 @@ import (
 // ErrBreakerOpen is returned when the circuit breaker gives up: the
 // cooldown was waited out repeatedly and the probe kept failing.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
-
-// ErrDivergent is returned in VerifyIdentical mode when two successful
-// attempts of the same request produced different bodies — a violation
-// of the response-idempotence contract that retries rely on. It is not
-// retried: re-executing cannot fix a server that is not deterministic.
-var ErrDivergent = errors.New("resilience: hedged responses diverged")
 
 // RetryAfterError marks an attempt outcome that carries the server's own
 // backoff schedule (a Retry-After header on a 429 shed). Attempts wrap
@@ -81,7 +74,7 @@ func ParseRetryAfter(v string) (time.Duration, bool) {
 }
 
 // Policy configures a Client. The zero value means "no resilience":
-// one attempt, no hedge, no breaker.
+// one attempt, no breaker.
 type Policy struct {
 	// MaxRetries is the number of re-executions after the first attempt
 	// (0 = fail on first error).
@@ -90,16 +83,8 @@ type Policy struct {
 	// MaxBackoff. Defaults 5ms / 1s.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeAfter, when > 0, launches a second identical attempt if the
-	// first has not completed within this duration; the first success
-	// wins. Safe because responses are idempotent.
-	HedgeAfter time.Duration
 	// Seed drives the deterministic jitter stream.
 	Seed uint64
-	// VerifyIdentical waits for a losing hedge sibling and asserts its
-	// body is byte-identical to the winner's (200s only) — turning the
-	// idempotence assumption into a checked invariant.
-	VerifyIdentical bool
 	// BreakerThreshold opens the circuit after this many consecutive
 	// retryable failures (0 = breaker disabled).
 	BreakerThreshold int
@@ -122,18 +107,15 @@ func (p Policy) withDefaults() Policy {
 }
 
 // Attempt performs one execution of a request and reports the HTTP
-// status, response body and transport error. Implementations must be
-// safe for concurrent calls (hedging runs two at once).
+// status, response body and transport error.
 type Attempt func(ctx context.Context) (status int, body []byte, err error)
 
 // Result is the final outcome of a resilient request.
 type Result struct {
 	Status int
 	Body   []byte
-	// Attempts is how many executions ran (including hedges).
+	// Attempts is how many executions ran.
 	Attempts int
-	// Hedged reports whether the winning response came from a hedge.
-	Hedged bool
 }
 
 // Counters aggregates what a Client did, all atomically updated so a
@@ -141,10 +123,7 @@ type Result struct {
 type Counters struct {
 	attempts          atomic.Int64
 	retries           atomic.Int64
-	hedges            atomic.Int64
-	hedgeWins         atomic.Int64
 	shortCircuits     atomic.Int64
-	mismatches        atomic.Int64
 	failures          atomic.Int64
 	retryAfterHonored atomic.Int64
 }
@@ -153,10 +132,7 @@ type Counters struct {
 type Snapshot struct {
 	Attempts      int64  `json:"attempts"`
 	Retries       int64  `json:"retries"`
-	Hedges        int64  `json:"hedges"`
-	HedgeWins     int64  `json:"hedge_wins"`
 	ShortCircuits int64  `json:"short_circuits"`
-	Mismatches    int64  `json:"digest_mismatches"`
 	Failures      int64  `json:"failures"`
 	BreakerOpens  int64  `json:"breaker_opens"`
 	BreakerState  string `json:"breaker_state"`
@@ -173,13 +149,10 @@ func (s Snapshot) WriteProm(b *bytes.Buffer, prefix string) {
 		fmt.Fprintf(b, "# TYPE %s_%s counter\n", prefix, name)
 		fmt.Fprintf(b, "%s_%s %d\n", prefix, name, v)
 	}
-	emit("attempts_total", "Request executions, including retries and hedges.", s.Attempts)
+	emit("attempts_total", "Request executions, including retries.", s.Attempts)
 	emit("retries_total", "Re-executions after a retryable failure.", s.Retries)
-	emit("hedges_total", "Hedge attempts launched.", s.Hedges)
-	emit("hedge_wins_total", "Requests won by the hedge attempt.", s.HedgeWins)
 	emit("breaker_short_circuits_total", "Rounds delayed by an open breaker.", s.ShortCircuits)
 	emit("breaker_opens_total", "Times the circuit breaker opened.", s.BreakerOpens)
-	emit("response_mismatches_total", "Idempotence violations: diverging sibling responses.", s.Mismatches)
 	emit("failures_total", "Requests that failed permanently.", s.Failures)
 	emit("retry_after_honored_total", "Retry sleeps scheduled by a server Retry-After hint.", s.RetryAfterHonored)
 }
@@ -221,10 +194,7 @@ func (c *Client) Counters() Snapshot {
 	s := Snapshot{
 		Attempts:          c.counters.attempts.Load(),
 		Retries:           c.counters.retries.Load(),
-		Hedges:            c.counters.hedges.Load(),
-		HedgeWins:         c.counters.hedgeWins.Load(),
 		ShortCircuits:     c.counters.shortCircuits.Load(),
-		Mismatches:        c.counters.mismatches.Load(),
 		Failures:          c.counters.failures.Load(),
 		RetryAfterHonored: c.counters.retryAfterHonored.Load(),
 		BreakerState:      "disabled",
@@ -318,11 +288,9 @@ func (c *Client) Do(ctx context.Context, key uint64, attempt Attempt) (Result, e
 			}
 		}
 
-		status, body, hedged, err := c.round(ctx, attempt)
-		res.Attempts += 1
-		if hedged {
-			res.Attempts++
-		}
+		c.counters.attempts.Add(1)
+		res.Attempts++
+		status, body, err := attempt(ctx)
 		ok := err == nil && status < 400
 		if c.breaker != nil {
 			// Only retryable outcomes count against the breaker: a 400 is
@@ -335,10 +303,10 @@ func (c *Client) Do(ctx context.Context, key uint64, attempt Attempt) (Result, e
 		}
 		if err == nil && !retryable(status, err) {
 			// Success, or a non-retryable response returned as-is.
-			res.Status, res.Body, res.Hedged = status, body, hedged
+			res.Status, res.Body = status, body
 			return res, nil
 		}
-		if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, ErrDivergent)) {
+		if errors.Is(err, context.Canceled) {
 			c.counters.failures.Add(1)
 			return res, err
 		}
@@ -367,95 +335,5 @@ func (c *Client) Do(ctx context.Context, key uint64, attempt Attempt) (Result, e
 			c.counters.failures.Add(1)
 			return res, err
 		}
-	}
-}
-
-// outcome is one attempt's result, tagged with which lane ran it.
-type outcome struct {
-	status int
-	body   []byte
-	err    error
-	hedge  bool
-}
-
-// round runs one primary attempt, optionally hedged. It returns the
-// winning outcome; hedged reports whether the hedge lane won. In
-// VerifyIdentical mode a successful round waits for the sibling and
-// compares bodies.
-func (c *Client) round(ctx context.Context, attempt Attempt) (status int, body []byte, hedged bool, err error) {
-	c.counters.attempts.Add(1)
-	if c.policy.HedgeAfter <= 0 {
-		status, body, err = attempt(ctx)
-		return status, body, false, err
-	}
-
-	ch := make(chan outcome, 2)
-	run := func(hedge bool) {
-		st, b, e := attempt(ctx)
-		ch <- outcome{status: st, body: b, err: e, hedge: hedge}
-	}
-	go run(false)
-
-	timer := time.NewTimer(c.policy.HedgeAfter)
-	defer timer.Stop()
-
-	launched := false
-	var first *outcome
-	for {
-		select {
-		case <-timer.C:
-			if !launched {
-				launched = true
-				c.counters.hedges.Add(1)
-				c.counters.attempts.Add(1)
-				go run(true)
-			}
-			continue
-		case o := <-ch:
-			good := o.err == nil && o.status < 500 && o.status != 429
-			if good {
-				if o.hedge {
-					c.counters.hedgeWins.Add(1)
-				}
-				if c.policy.VerifyIdentical && launched && o.status == 200 {
-					if d, ok := c.awaitSibling(ch); ok && d.err == nil && d.status == 200 {
-						if !bytes.Equal(o.body, d.body) {
-							c.counters.mismatches.Add(1)
-							return 0, nil, launched, fmt.Errorf("%w (status 200 vs 200)", ErrDivergent)
-						}
-					}
-				}
-				return o.status, o.body, o.hedge && launched, nil
-			}
-			if first == nil && launched {
-				// The other lane is still in flight; let it race on.
-				first = &o
-				continue
-			}
-			// Both lanes failed (or no hedge launched): surface the
-			// primary's outcome for retry accounting.
-			if first != nil && !first.hedge {
-				o = *first
-			}
-			return o.status, o.body, launched, o.err
-		}
-	}
-}
-
-// awaitSibling drains the losing lane's outcome, bounded so a hung
-// sibling cannot wedge verification (it reports ok=false on timeout and
-// the comparison is skipped — verification is best-effort by design).
-func (c *Client) awaitSibling(ch chan outcome) (outcome, bool) {
-	wait := 4 * c.policy.HedgeAfter
-	if min := 50 * time.Millisecond; wait < min {
-		wait = min
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o, true
-	case <-t.C:
-		return outcome{}, false
 	}
 }

@@ -1,19 +1,16 @@
 // Async job endpoints: POST /v1/jobs submits a batch and returns a
 // handle immediately; GET /v1/jobs/{id}?cursor=N long-polls for results
 // past the cursor; GET /v1/jobs/{id}/stream pushes them as NDJSON in
-// strict index order; DELETE /v1/jobs/{id} cancels. The per-unit result
-// bytes are exactly the elements of the /v1/batch results array for the
-// same body — `{"results":[` + join(stream lines, ",") + `]}` + "\n"
-// reconstructs the batch response byte for byte. See docs/jobs.md.
+// strict index order; DELETE /v1/jobs/{id} cancels. Units run through
+// runUnit, the executor whose bytes /v1/batch joins into its response,
+// so `{"results":[` + join(stream lines, ",") + `]}` + "\n" reconstructs
+// the batch response for the same body byte for byte. See docs/jobs.md.
 package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -34,76 +31,15 @@ type CancelResponse struct {
 	State string `json:"state"`
 }
 
-// runJobUnit executes one journaled unit through the exact code path
-// /v1/batch uses (doCompile/doSimulate into a marshaled BatchResult), so
-// job results are byte-identical to batch results. The unit bytes were
-// strictly validated at submit; a re-parse here cannot fail, but the
-// defensive branch keeps a unit error inside its own slot regardless.
-func (s *Server) runJobUnit(ctx context.Context, unit json.RawMessage, index int) []byte {
-	res := BatchResult{Index: index}
-	var u BatchUnit
-	if err := json.Unmarshal(unit, &u); err != nil {
-		res.Error = fmt.Sprintf("invalid unit: %v", err)
-	} else {
-		switch {
-		case u.Compile != nil:
-			rep, err := s.doCompile(ctx, u.Compile)
-			if err != nil {
-				res.Error = err.Error()
-			} else {
-				res.Compile = rep
-			}
-		case u.Simulate != nil:
-			rep, err := s.doSimulate(ctx, u.Simulate)
-			if err != nil {
-				res.Error = err.Error()
-			} else {
-				res.Simulate = rep
-			}
-		}
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		// Unreachable for these fixed structs; keep the slot well-formed.
-		b, _ = json.Marshal(BatchResult{Index: index, Error: "result encoding failed"})
-	}
-	return b
-}
-
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	// The raw body is read up front: it is both the validation input and
-	// the journal payload (recovery re-derives the units from it).
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeHTTPErr(w, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)})
-			return
-		}
-		writeHTTPErr(w, badRequest("reading body: %v", err))
-		return
-	}
-	var req BatchRequest
-	if he := decodeJSONBytes(body, &req); he != nil {
+	// The raw body is the journal payload: recovery re-derives the units
+	// from it.
+	body, units, he := s.admitBatch(w, r)
+	if he != nil {
 		writeHTTPErr(w, he)
 		return
 	}
-	if he := s.validateBatch(&req); he != nil {
-		writeHTTPErr(w, he)
-		return
-	}
-	// Second parse extracts the units as raw bytes: the runner hands
-	// each unit's original text to the same decode path /v1/batch uses.
-	var raw struct {
-		Units []json.RawMessage `json:"units"`
-	}
-	if err := json.Unmarshal(body, &raw); err != nil || len(raw.Units) != len(req.Units) {
-		writeHTTPErr(w, badRequest("invalid JSON body"))
-		return
-	}
-
-	j, err := s.jobs.Submit(body, raw.Units)
+	j, err := s.jobs.Submit(body, units)
 	if err != nil {
 		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfterHint)))
@@ -204,18 +140,4 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveChunk("stream", len(chunk))
 		return nil
 	})
-}
-
-// decodeJSONBytes is decodeJSON over an in-memory body: same strictness,
-// same error texts.
-func decodeJSONBytes(body []byte, v any) *httpError {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("invalid JSON body: %v", err)
-	}
-	if dec.More() {
-		return badRequest("trailing data after JSON body")
-	}
-	return nil
 }

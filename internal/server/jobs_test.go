@@ -163,8 +163,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // are 400, unknown ids are 404, and the wildcard route 405s with a
 // combined Allow header.
 func TestJobCursorValidation(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
+	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -249,8 +248,7 @@ func TestJobCursorValidation(t *testing.T) {
 // TestJobConcurrentPollers runs several cursor loops against one job
 // concurrently; each must collect the identical full result sequence.
 func TestJobConcurrentPollers(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
+	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -299,8 +297,7 @@ func TestJobConcurrentPollers(t *testing.T) {
 // TestJobCancel: DELETE flips a running job to canceled, wakes waiters,
 // and the stream ends early instead of hanging.
 func TestJobCancel(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Close()
+	s := newServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -337,8 +334,7 @@ func TestJobCancel(t *testing.T) {
 // TestShedRetryAfter: 429 sheds carry a Retry-After hint (satellite:
 // resilience clients back off precisely instead of guessing).
 func TestShedRetryAfter(t *testing.T) {
-	s := New(Config{MaxInFlight: 1, RetryAfterHint: 2 * time.Second})
-	defer s.Close()
+	s := newServer(t, Config{MaxInFlight: 1, RetryAfterHint: 2 * time.Second})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -380,8 +376,7 @@ func TestShedRetryAfter(t *testing.T) {
 // TestJobTableFullRetryAfter: a full job table rejects submissions with
 // 429 + Retry-After, and frees up once a job is canceled and reaped.
 func TestJobTableFullRetryAfter(t *testing.T) {
-	s := New(Config{Workers: 1, MaxJobs: 1, JobTTL: 50 * time.Millisecond})
-	defer s.Close()
+	s := newServer(t, Config{Workers: 1, MaxJobs: 1, JobTTL: 50 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -430,13 +425,13 @@ func TestJobResumeAfterRestart(t *testing.T) {
 
 	// First life: a single worker runs the units in order. Shut down
 	// mid-job, once the first slow unit is done: by then life 1 has built
-	// everything the job needs (a build is queued for the artifact store
-	// before any unit can use it, and Shutdown flushes that queue), so the
-	// resume below must compile nothing, while two slow units are still
-	// pending, so there is something to resume. (Shutting down at cursor 1
-	// raced the slow unit's build: when it had not started, the resume had
-	// to compile it.)
-	s1 := New(Config{Workers: 1, CacheDir: dir})
+	// everything the job needs (Shutdown closes the cache, which joins
+	// every build and its artifact write-behind), so the resume below
+	// must compile nothing, while two slow units are still pending, so
+	// there is something to resume. (Shutting down at cursor 1 raced the
+	// slow unit's build: when it had not started, the resume had to
+	// compile it.)
+	s1 := newServer(t, Config{Workers: 1, CacheDir: dir})
 	ts1 := httptest.NewServer(s1.Handler())
 	sub := submitJob(t, ts1, body)
 	deadline := time.Now().Add(30 * time.Second)
@@ -468,8 +463,7 @@ func TestJobResumeAfterRestart(t *testing.T) {
 
 	// Second life over the same cache dir: artifact scan first (as
 	// cmd/idemd does), then job recovery.
-	s2 := New(Config{CacheDir: dir})
-	defer s2.Close()
+	s2 := newServer(t, Config{CacheDir: dir})
 	if d := s2.Cache().Disk(); d != nil {
 		d.Scan()
 	}

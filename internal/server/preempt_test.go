@@ -27,6 +27,33 @@ func waitPreempted(t *testing.T, s *Server, want int64, within time.Duration) {
 	}
 }
 
+// warmSlowBuild compiles the build slowSource simulates under the
+// default scheme, so a following slow simulate hits the cache and its
+// cancel or deadline can only land in the step loop (one landing during
+// the compile returns without preempting anything). It returns the
+// compile count for noCompileSince.
+func warmSlowBuild(t *testing.T, s *Server) int64 {
+	t.Helper()
+	w, err := SourceWorkload(slowSource, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Cache().Compile(context.Background(), w, (*OptionsSpec)(nil).moduleOptions(false)); err != nil {
+		t.Fatal(err)
+	}
+	return s.Cache().Stats().Compiles
+}
+
+// noCompileSince fails the test if a compile ran after warmSlowBuild:
+// the simulate then missed the warmed key, and the test would be back
+// to racing its cancel against the compile.
+func noCompileSince(t *testing.T, s *Server, compiles int64) {
+	t.Helper()
+	if got := s.Cache().Stats().Compiles; got != compiles {
+		t.Fatalf("%d compile(s) ran during the simulate; the warmed build key was missed", got-compiles)
+	}
+}
+
 // TestSimulateTimeoutPreemptsRun: a request-deadline 503 must also stop
 // the simulation server-side (the pre-preemption behavior was a 503
 // whose run burned CPU to completion in the background). The preemption
@@ -34,9 +61,10 @@ func waitPreempted(t *testing.T, s *Server, want int64, within time.Duration) {
 // step loop exited on the deadline, within its instruction budget —
 // the budget itself is pinned by the machine-level preemption tests.
 func TestSimulateTimeoutPreemptsRun(t *testing.T) {
-	s := New(Config{RequestTimeout: 30 * time.Millisecond, PreemptEvery: 2048})
+	s := newServer(t, Config{RequestTimeout: 30 * time.Millisecond, PreemptEvery: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	compiles := warmSlowBuild(t, s)
 
 	code, b := postJSON(t, ts.Client(), ts.URL+"/v1/simulate",
 		marshal(t, &SimulateRequest{Source: slowSource, Args: []uint64{200_000_000}}))
@@ -47,6 +75,7 @@ func TestSimulateTimeoutPreemptsRun(t *testing.T) {
 		t.Errorf("timed-out simulate body %s, want 'request abandoned'", b)
 	}
 	waitPreempted(t, s, 1, 5*time.Second)
+	noCompileSince(t, s, compiles)
 
 	// The counter is part of the exposition.
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
@@ -63,9 +92,10 @@ func TestSimulateTimeoutPreemptsRun(t *testing.T) {
 // TestClientCancelPreemptsRun: client disconnection (not just the
 // server deadline) propagates into the step loop.
 func TestClientCancelPreemptsRun(t *testing.T) {
-	s := New(Config{PreemptEvery: 2048})
+	s := newServer(t, Config{PreemptEvery: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	compiles := warmSlowBuild(t, s)
 
 	slow := marshal(t, &SimulateRequest{Source: slowSource, Args: []uint64{200_000_000}})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,6 +124,7 @@ func TestClientCancelPreemptsRun(t *testing.T) {
 		t.Fatalf("abandoned request: got %v, want context.Canceled", err)
 	}
 	waitPreempted(t, s, 1, 5*time.Second)
+	noCompileSince(t, s, compiles)
 }
 
 // TestBatchCancellationPreemptsUnits: abandoning a /v1/batch cancels
@@ -101,9 +132,10 @@ func TestClientCancelPreemptsRun(t *testing.T) {
 // — preemption reaches through the engine pool, not just the
 // single-request path.
 func TestBatchCancellationPreemptsUnits(t *testing.T) {
-	s := New(Config{Workers: 4, PreemptEvery: 2048})
+	s := newServer(t, Config{Workers: 4, PreemptEvery: 2048})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	compiles := warmSlowBuild(t, s)
 
 	units := make([]BatchUnit, 4)
 	for i := range units {
@@ -141,4 +173,5 @@ func TestBatchCancellationPreemptsUnits(t *testing.T) {
 	// At least one unit was mid-simulation when the context died; all
 	// such units must preempt.
 	waitPreempted(t, s, 1, 5*time.Second)
+	noCompileSince(t, s, compiles)
 }

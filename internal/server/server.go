@@ -19,10 +19,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -158,7 +160,7 @@ func New(cfg Config) *Server {
 		MaxJobs: cfg.MaxJobs,
 		TTL:     cfg.JobTTL,
 		Logf:    cfg.Logf,
-	}, s.engine, s.runJobUnit)
+	}, s.engine, s.runUnit)
 	get, post := []string{http.MethodGet}, []string{http.MethodPost}
 	s.mux.Handle("/healthz", s.instrument("/healthz", get, false, s.handleHealthz))
 	s.mux.Handle("/readyz", s.instrument("/readyz", get, false, s.handleReadyz))
@@ -232,14 +234,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if jerr := s.jobs.Close(ctx); jerr != nil && err == nil {
 		err = jerr
 	}
-	if d := s.cache.Disk(); d != nil {
-		// Let in-flight write-behind artifact writes land before exit, so
-		// a restart finds everything the drained process compiled.
-		if ferr := d.Flush(ctx); ferr != nil {
-			s.cfg.Logf("idemd: artifact flush aborted: %v", ferr)
-		} else {
-			s.cfg.Logf("idemd: artifact store flushed")
-		}
+	// Let builds still compiling and their write-behind land before
+	// exit, so a restart finds everything the drained process compiled.
+	if cerr := s.cache.Close(ctx); cerr != nil {
+		s.cfg.Logf("idemd: artifact flush aborted: %v", cerr)
+	} else if s.cache.Disk() != nil {
+		s.cfg.Logf("idemd: artifact store flushed")
 	}
 	s.cfg.Logf("idemd: drained")
 	return err
@@ -387,23 +387,28 @@ func writeHTTPErr(w http.ResponseWriter, err error) {
 	}
 }
 
-// decodeJSON strictly parses the request body into v.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// decodeJSON reads the request body (413 beyond MaxBodyBytes) and
+// strictly parses it into v: unknown fields and trailing data are
+// rejected. It returns the raw body for callers that keep it.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, *httpError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)}
 		}
-		return badRequest("invalid JSON body: %v", err)
+		return nil, badRequest("reading body: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return nil, badRequest("invalid JSON body: %v", err)
 	}
 	if dec.More() {
-		return badRequest("trailing data after JSON body")
+		return nil, badRequest("trailing data after JSON body")
 	}
-	return nil
+	return body, nil
 }
 
 // ---------------------------------------------------------------------
@@ -434,7 +439,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
-	if he := s.decodeJSON(w, r, &req); he != nil {
+	if _, he := s.decodeJSON(w, r, &req); he != nil {
 		writeHTTPErr(w, he)
 		return
 	}
@@ -447,7 +452,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 // doCompile validates, builds (through the coalescing cache) and renders
-// the report. Shared by the batch handler.
+// the report. Shared by runUnit.
 func (s *Server) doCompile(ctx context.Context, req *CompileRequest) (*CompileReport, error) {
 	wk, he := resolveWorkload(req.Workload, req.Source, req.MemWords, nil)
 	if he != nil {
@@ -465,7 +470,7 @@ func (s *Server) doCompile(ctx context.Context, req *CompileRequest) (*CompileRe
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SimulateRequest
-	if he := s.decodeJSON(w, r, &req); he != nil {
+	if _, he := s.decodeJSON(w, r, &req); he != nil {
 		writeHTTPErr(w, he)
 		return
 	}
@@ -478,7 +483,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // doSimulate validates, builds the scheme's binary, arms any injections
-// and runs the simulator. Shared by the batch handler.
+// and runs the simulator. Shared by runUnit.
 func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*SimulateReport, error) {
 	wk, he := resolveWorkload(req.Workload, req.Source, req.MemWords, req.Args)
 	if he != nil {
@@ -579,62 +584,81 @@ func schemeName(s string) string {
 	return s
 }
 
-// validateBatch applies the shared /v1/batch and /v1/jobs admission
-// rules — identical on purpose: a job is a batch with a handle, so the
-// same body must be accepted or rejected identically by both.
-func (s *Server) validateBatch(req *BatchRequest) *httpError {
+// admitBatch is the one admission path of /v1/batch and /v1/jobs — a
+// job is a batch with a handle, so the same body must be accepted or
+// rejected identically by both. It reads and strictly decodes the body,
+// checks the unit count and that each unit names exactly one of compile
+// or simulate, and splits out each unit's raw bytes for runUnit. The
+// raw body is returned too: it is the job journal's payload.
+func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request) ([]byte, []json.RawMessage, *httpError) {
+	var req BatchRequest
+	body, he := s.decodeJSON(w, r, &req)
+	if he != nil {
+		return nil, nil, he
+	}
 	n := len(req.Units)
 	if n == 0 {
-		return badRequest("batch has no units")
+		return nil, nil, badRequest("batch has no units")
 	}
 	if n > s.cfg.MaxBatchUnits {
-		return badRequest("batch exceeds %d units", s.cfg.MaxBatchUnits)
+		return nil, nil, badRequest("batch exceeds %d units", s.cfg.MaxBatchUnits)
 	}
 	for i, u := range req.Units {
 		if (u.Compile == nil) == (u.Simulate == nil) {
-			return badRequest("unit %d: exactly one of compile or simulate is required", i)
+			return nil, nil, badRequest("unit %d: exactly one of compile or simulate is required", i)
 		}
 	}
-	return nil
+	var raw struct {
+		Units []json.RawMessage `json:"units"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil || len(raw.Units) != n {
+		return nil, nil, badRequest("invalid JSON body")
+	}
+	return body, raw.Units, nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if he := s.decodeJSON(w, r, &req); he != nil {
-		writeHTTPErr(w, he)
-		return
+// runUnit is the one place a batch unit executes, for /v1/batch and
+// every /v1/jobs runner alike: it decodes the unit's raw bytes, runs
+// its compile or simulate, and returns the marshaled BatchResult. A
+// unit failure stays inside its own slot. Admission strictly validated
+// the bytes, so the re-parse cannot fail; the defensive branch keeps
+// the slot well-formed regardless.
+func (s *Server) runUnit(ctx context.Context, unit json.RawMessage, index int) []byte {
+	res := BatchResult{Index: index}
+	var u BatchUnit
+	err := json.Unmarshal(unit, &u)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("invalid unit: %v", err)
+	case u.Compile != nil:
+		res.Compile, err = s.doCompile(ctx, u.Compile)
+	case u.Simulate != nil:
+		res.Simulate, err = s.doSimulate(ctx, u.Simulate)
 	}
-	if he := s.validateBatch(&req); he != nil {
-		writeHTTPErr(w, he)
-		return
+	if err != nil {
+		res.Error = err.Error()
 	}
-	n := len(req.Units)
+	b, err := json.Marshal(res)
+	if err != nil {
+		// Unreachable for these fixed structs; keep the slot well-formed.
+		b, _ = json.Marshal(BatchResult{Index: index, Error: "result encoding failed"})
+	}
+	return b
+}
 
-	// Fan the units onto the engine pool. Per-unit failures are recorded
-	// in their slot (fn always returns nil), so one broken unit cannot
-	// cancel its siblings; results land in index order regardless of the
-	// pool width — the same determinism contract as the figure drivers.
-	results := make([]BatchResult, n)
-	_ = s.engine.ForEach(r.Context(), n, func(ctx context.Context, i int) error {
-		res := BatchResult{Index: i}
-		u := req.Units[i]
-		switch {
-		case u.Compile != nil:
-			rep, err := s.doCompile(ctx, u.Compile)
-			if err != nil {
-				res.Error = err.Error()
-			} else {
-				res.Compile = rep
-			}
-		case u.Simulate != nil:
-			rep, err := s.doSimulate(ctx, u.Simulate)
-			if err != nil {
-				res.Error = err.Error()
-			} else {
-				res.Simulate = rep
-			}
-		}
-		results[i] = res
+// handleBatch fans runUnit over the engine pool and joins the unit bytes
+// in index order, whatever the pool width: the response is
+// `{"results":[` + join(units, ",") + `]}` + "\n", exactly what a job
+// stream of the same body reconstructs to (docs/jobs.md).
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	_, units, he := s.admitBatch(w, r)
+	if he != nil {
+		writeHTTPErr(w, he)
+		return
+	}
+	results := make([][]byte, len(units))
+	_ = s.engine.ForEach(r.Context(), len(units), func(ctx context.Context, i int) error {
+		results[i] = s.runUnit(ctx, units[i], i)
 		return nil
 	})
 	if err := r.Context().Err(); err != nil {
@@ -643,5 +667,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeHTTPErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+	var b bytes.Buffer
+	b.WriteString(`{"results":[`)
+	b.Write(bytes.Join(results, []byte{','}))
+	b.WriteString("]}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b.Bytes())
 }

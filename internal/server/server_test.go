@@ -21,7 +21,9 @@ import (
 	"testing"
 	"time"
 
+	"idemproc/internal/buildcache"
 	"idemproc/internal/machine"
+	"idemproc/internal/workloads"
 )
 
 // tinySource is a fast ad-hoc workload: main loops its argument times.
@@ -129,7 +131,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	n := len(paths)
 
 	run := func(workers int, concurrency int) [][]byte {
-		s := New(Config{Workers: workers, MaxInFlight: n + 8})
+		s := newServer(t, Config{Workers: workers, MaxInFlight: n + 8})
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		out := make([][]byte, n)
@@ -168,7 +170,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 // TestBatchMatchesIndividual: a batch unit's embedded report must equal
 // the standalone endpoint's report for the same request.
 func TestBatchMatchesIndividual(t *testing.T) {
-	s := New(Config{})
+	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -203,7 +205,7 @@ func TestBatchMatchesIndividual(t *testing.T) {
 // must not wedge the daemon — the in-flight slot frees and subsequent
 // requests are served normally.
 func TestClientCancellationMidFlight(t *testing.T) {
-	s := New(Config{MaxInFlight: 2})
+	s := newServer(t, Config{MaxInFlight: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -247,7 +249,7 @@ func TestClientCancellationMidFlight(t *testing.T) {
 // TestRequestTimeout: a simulate that outlives the per-request deadline
 // comes back 503 ("request abandoned"), not a hung connection.
 func TestRequestTimeout(t *testing.T) {
-	s := New(Config{RequestTimeout: 30 * time.Millisecond})
+	s := newServer(t, Config{RequestTimeout: 30 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -264,7 +266,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestShedding: with MaxInFlight=1, a second concurrent request is shed
 // with 429 (never queued), and the shed shows up in /metrics.
 func TestShedding(t *testing.T) {
-	s := New(Config{MaxInFlight: 1})
+	s := newServer(t, Config{MaxInFlight: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -316,7 +318,7 @@ func TestShedding(t *testing.T) {
 // request finish with its full 200 response, and only then does Serve
 // return ErrServerClosed. Nothing admitted is dropped.
 func TestGracefulDrain(t *testing.T) {
-	s := New(Config{})
+	s := newServer(t, Config{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +392,7 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestValidation covers the request-validation surface.
 func TestValidation(t *testing.T) {
-	s := New(Config{MaxBodyBytes: 4096, MaxBatchUnits: 4})
+	s := newServer(t, Config{MaxBodyBytes: 4096, MaxBatchUnits: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -447,7 +449,7 @@ func TestValidation(t *testing.T) {
 // recovery) is a successful analysis — the outcome is data, not an HTTP
 // error.
 func TestMachineErrorIs200(t *testing.T) {
-	s := New(Config{})
+	s := newServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -473,7 +475,7 @@ func TestMachineErrorIs200(t *testing.T) {
 // with the run, or every request leaks one decoded program. The compile
 // cache's own builds keep theirs.
 func TestInstrumentedSimulatesReleasePredecode(t *testing.T) {
-	s := New(Config{})
+	s := newServer(t, Config{})
 	run := func() {
 		for _, scheme := range []string{"none", "dmr", "tmr", "cl", "idem"} {
 			req := &SimulateRequest{Source: tinySource, Args: []uint64{5}, Scheme: scheme}
@@ -494,7 +496,7 @@ func TestInstrumentedSimulatesReleasePredecode(t *testing.T) {
 
 // TestMetricsCatalog: the exposition carries every documented series.
 func TestMetricsCatalog(t *testing.T) {
-	s := New(Config{CacheMaxBytes: 1 << 20})
+	s := newServer(t, Config{CacheMaxBytes: 1 << 20})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -525,5 +527,34 @@ func TestMetricsCatalog(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestShutdownPersistsInFlightBuild: a build still compiling when the
+// drain starts must be on disk when Shutdown returns. Its requester has
+// already gone (the compile runs on, detached from the canceled
+// request), so only the cache's own lifecycle can wait for it.
+func TestShutdownPersistsInFlightBuild(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(t, Config{CacheDir: dir, VerifyMode: buildcache.VerifyFull})
+	w, ok := workloads.ByName("astar")
+	if !ok {
+		t.Fatal("astar workload missing")
+	}
+	abandoned, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := s.Cache().Compile(abandoned, w, (*OptionsSpec)(nil).moduleOptions(true)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned compile returned %v, want context.Canceled", err)
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 30*time.Second)
+	defer stop()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if st := s.Cache().Stats(); st.Compiles != 1 || st.DiskWrites != 1 {
+		t.Fatalf("after shutdown: %d compiles / %d disk writes, want 1/1", st.Compiles, st.DiskWrites)
+	}
+	if res := s.Cache().Disk().Scan(); res.Entries != 1 {
+		t.Fatalf("store holds %d artifacts after shutdown, want the in-flight build's 1", res.Entries)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"idemproc/internal/jobs"
 	"idemproc/internal/server"
 )
 
@@ -190,14 +191,50 @@ func TestFrontJobSurvivesReplicaDeath(t *testing.T) {
 	refTS := httptest.NewServer(ref.Handler())
 	t.Cleanup(refTS.Close)
 
+	// The victim is the first replica to accept a sub-job of two or more
+	// units. Its first poll that returns results is cut to one result,
+	// and its later polls are held until the kill, so the kill always
+	// lands after a partial delivery and leaves units to resubmit.
+	var victim atomic.Int32
+	victim.Store(-1)
+	delivered := make(chan struct{})
+	var deliverOnce sync.Once
 	var backends []string
-	var servers []*server.Server
 	var listeners []*httptest.Server
 	for i := 0; i < 3; i++ {
-		s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
-		ts := httptest.NewServer(s.Handler())
+		s := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				body, _ := io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				var req server.BatchRequest
+				if json.Unmarshal(body, &req) == nil && len(req.Units) >= 2 {
+					victim.CompareAndSwap(-1, int32(i))
+				}
+			}
+			if r.Method != http.MethodGet || !strings.HasPrefix(r.URL.Path, "/v1/jobs/") || victim.Load() != int32(i) {
+				h.ServeHTTP(w, r)
+				return
+			}
+			if r.URL.Query().Get("cursor") != "0" {
+				<-r.Context().Done()
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			var rep jobs.PollResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil || len(rep.Results) == 0 {
+				w.WriteHeader(rec.Code)
+				w.Write(rec.Body.Bytes())
+				return
+			}
+			rep.Results, rep.NextCursor = rep.Results[:1], 1
+			b, _ := json.Marshal(rep)
+			w.Write(b)
+			deliverOnce.Do(func() { close(delivered) })
+		}))
 		t.Cleanup(ts.Close)
-		servers = append(servers, s)
 		listeners = append(listeners, ts)
 		backends = append(backends, strings.TrimPrefix(ts.URL, "http://"))
 	}
@@ -219,21 +256,13 @@ func TestFrontJobSurvivesReplicaDeath(t *testing.T) {
 
 	sub := submitFrontJob(t, url, body)
 
-	// Find a replica actively running a sub-job and kill it.
-	killed := -1
-	deadline := time.Now().Add(10 * time.Second)
-	for killed < 0 && time.Now().Before(deadline) {
-		for i, s := range servers {
-			if s.Jobs().Stats().Active > 0 {
-				killed = i
-				break
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Kill the victim once its first result has reached the front.
+	select {
+	case <-delivered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the victim replica never delivered a result")
 	}
-	if killed < 0 {
-		t.Fatal("no replica ever had an active sub-job")
-	}
+	killed := victim.Load()
 	listeners[killed].CloseClientConnections()
 	listeners[killed].Close()
 
@@ -256,7 +285,7 @@ func TestFrontJobCancelFansOut(t *testing.T) {
 	var backends []string
 	var servers []*server.Server
 	for i := 0; i < 3; i++ {
-		s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
+		s := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute, Workers: 1})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		servers = append(servers, s)
@@ -388,71 +417,5 @@ func TestFrontJobValidation(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed || resp2.Header.Get("Allow") != "GET, DELETE" {
 		t.Fatalf("PATCH: status %d Allow %q", resp2.StatusCode, resp2.Header.Get("Allow"))
-	}
-}
-
-// TestFrontCoalescesCompilesDuringFailover: while a key's primary owner
-// is out, identical in-flight /v1/compile bodies single-flight into one
-// upstream request.
-func TestFrontCoalescesCompilesDuringFailover(t *testing.T) {
-	var hits atomic.Int64
-	const answer = `{"coalesced":"yes"}` + "\n"
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/readyz":
-			// Permanently not ready: every key's owner stays in the
-			// failover window without the health loop flapping it back.
-			w.WriteHeader(http.StatusServiceUnavailable)
-		case "/v1/compile":
-			hits.Add(1)
-			time.Sleep(300 * time.Millisecond)
-			io.WriteString(w, answer)
-		default:
-			w.WriteHeader(http.StatusNotFound)
-		}
-	}))
-	t.Cleanup(stub.Close)
-
-	f, url := newFront(t, []string{strings.TrimPrefix(stub.URL, "http://")}, nil)
-	// Wait for the probe to mark the stub out.
-	deadline := time.Now().Add(5 * time.Second)
-	for f.HealthyNow() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if f.HealthyNow() != 0 {
-		t.Fatal("stub backend never marked out")
-	}
-
-	body := mustJSON(t, &server.CompileRequest{Source: frontTinySrc})
-	results := make([]string, 8)
-	var wg sync.WaitGroup
-	// The leader goes first so the followers find its flight in place.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, b := postBody(t, url+"/v1/compile", body)
-		results[0] = string(b)
-	}()
-	time.Sleep(100 * time.Millisecond)
-	for i := 1; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, b := postBody(t, url+"/v1/compile", body)
-			results[i] = string(b)
-		}(i)
-	}
-	wg.Wait()
-
-	for i, r := range results {
-		if r != answer {
-			t.Fatalf("request %d got %q", i, r)
-		}
-	}
-	if n := hits.Load(); n != 1 {
-		t.Fatalf("stub served %d compiles, want 1 (single flight)", n)
-	}
-	if n := f.Metrics().CoalescedNow(); n != 7 {
-		t.Fatalf("coalesced %d followers, want 7", n)
 	}
 }

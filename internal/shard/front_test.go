@@ -9,6 +9,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,9 +38,24 @@ func srcVariant(i int) string {
 	return fmt.Sprintf("func main(int n) int {\n\tint s = %d;\n\tfor (int i = 0; i < n; i = i + 1) { s = s + i; }\n\treturn s;\n}\n", i)
 }
 
+// newServer builds an idemd core whose drain the test's cleanup runs,
+// so its job runners and reaper are joined before the leak check.
+func newServer(t *testing.T, cfg server.Config) *server.Server {
+	t.Helper()
+	s := server.New(cfg)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("replica shutdown: %v", err)
+		}
+	})
+	return s
+}
+
 func newReplica(t *testing.T) (*server.Server, string) {
 	t.Helper()
-	s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
+	s := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, strings.TrimPrefix(ts.URL, "http://")
@@ -139,7 +155,7 @@ func battery(t *testing.T) (paths []string, bodies [][]byte) {
 // (status, body) from a 3-replica fleet == (status, body) from one
 // process, for every battery request, on both a cold and a warm pass.
 func TestFrontMatchesSingleProcess(t *testing.T) {
-	ref := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
+	ref := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
 
@@ -273,14 +289,14 @@ func TestFrontSplitsBatches(t *testing.T) {
 // change a single response byte — its keys fail over to the
 // deterministic next owner and recompute there.
 func TestFrontSurvivesReplicaDeath(t *testing.T) {
-	ref := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
+	ref := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
 
 	var backends []string
 	var listeners []*httptest.Server
 	for i := 0; i < 3; i++ {
-		s := server.New(server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
+		s := newServer(t, server.Config{MaxInFlight: 128, RequestTimeout: time.Minute})
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		listeners = append(listeners, ts)
@@ -320,7 +336,7 @@ func TestFrontSurvivesReplicaDeath(t *testing.T) {
 // 503) and draining (Shutdown => 503), mirroring the idemd contract the
 // fleet's own health checks rely on.
 func TestFrontReadyz(t *testing.T) {
-	s := server.New(server.Config{MaxInFlight: 8})
+	s := newServer(t, server.Config{MaxInFlight: 8})
 	ts := httptest.NewServer(s.Handler())
 	addr := strings.TrimPrefix(ts.URL, "http://")
 	_, frontURL := newFront(t, []string{addr}, nil)

@@ -176,7 +176,17 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 		return err
 	}
 	f.metrics.SubJob()
-	status, resp, err := post(ctx, f.client, b.base+"/v1/jobs", sub)
+	// The submit is detached from ctx and bounded by the front's request
+	// timeout instead: a cancel landing while it is in flight would
+	// otherwise orphan the replica job it creates, which would then
+	// compute results nobody reads. With the handle back, the cancel is
+	// forwarded below.
+	sctx, cancel := context.WithoutCancel(ctx), func() {}
+	if f.cfg.RequestTimeout > 0 {
+		sctx, cancel = context.WithTimeout(sctx, f.cfg.RequestTimeout)
+	}
+	status, resp, err := post(sctx, f.client, b.base+"/v1/jobs", sub)
+	cancel()
 	if err != nil {
 		if status == 0 {
 			f.setHealth(b, false, "transport error")
@@ -189,6 +199,10 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 	var sr server.SubmitResponse
 	if err := json.Unmarshal(resp, &sr); err != nil || sr.Units != len(remUnits) {
 		return fmt.Errorf("submit to %s: malformed handle", b.id)
+	}
+	if ctx.Err() != nil {
+		f.cancelSubJob(b, sr.ID)
+		return nil
 	}
 
 	cursor := 0

@@ -4,8 +4,8 @@
 #
 # Default mode drives the acceptance workload — BENCH_SERVE_REQUESTS
 # requests (default 2000) at concurrency 32, run twice with the same
-# seed, with the resilience layer enabled (retries + tail hedging) —
-# against two daemons in sequence:
+# seed, with resilience retries enabled — against two daemons in
+# sequence:
 #
 #   phase A: `idemd` with verification off, the latency baseline
 #            (summary kept in the temp dir);
@@ -26,8 +26,8 @@
 # printed for the record. idemload itself fails the run on any
 # permanently failed request or on
 # a digest mismatch between the passes, and writes the headline numbers
-# (req/s, p50/p90/p99, cache hit ratio, retry/hedge/preemption
-# counters) to the summary.
+# (req/s, p50/p90/p99, cache hit ratio, retry/preemption counters) to
+# the summary.
 #
 # FRONT=1 boots REPLICAS idemd processes (default 3) behind idemfront
 # and drives the same workload through the front tier, scraping every
@@ -66,7 +66,7 @@ wait_addr() { # $1 = addr file
 run_load() { # $1 = summary json path
     "$tmp/idemload" -addr "$(cat "$tmp/addr")" -scrape "$scrape" \
         -concurrency "$CONCURRENCY" -requests "$REQUESTS" -seed 1 -repeat 2 \
-        -retries 2 -hedge-after 2s \
+        -retries 2 \
         -json "$1"
 }
 

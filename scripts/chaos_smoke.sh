@@ -3,13 +3,13 @@
 #
 # Boots idemd, then runs idemload with the internal/chaos fault proxy
 # interposed (injected latency, 500s, connection resets, truncated
-# bodies) and retries + hedging enabled. Because every /v1/* response is
-# an idempotent function of its request, re-execution must fully absorb
+# bodies) and retries enabled. Because every /v1/* response is an
+# idempotent function of its request, re-execution must fully absorb
 # the faults: idemload exits nonzero on any permanently failed request
-# or any digest mismatch between re-executed attempts, and this script
-# additionally asserts that faults were actually injected (a campaign
-# that injected nothing proves nothing). The daemon is then drained with
-# SIGTERM and must exit 0.
+# or any digest mismatch between the campaign's two passes (each pass
+# meets different faults), and this script additionally asserts that
+# faults were actually injected (a campaign that injected nothing proves
+# nothing). The daemon is then drained with SIGTERM and must exit 0.
 set -eu
 
 GO="${GO:-go}"
@@ -36,14 +36,9 @@ done
 echo "chaos-smoke: seeded fault campaign (retries absorb injected faults)"
 "$tmp/idemload" -addr "$(cat "$tmp/addr")" \
     -concurrency 16 -requests 150 -seed 5 -repeat 2 \
-    -chaos-seed 7 -chaos-rates "10,6,6,6" -retries 8 -hedge-after 250ms \
+    -chaos-seed 7 -chaos-rates "10,6,6,6" -retries 8 \
     -json "$tmp/chaos.json"
 
-grep -q '"digest_mismatches": 0' "$tmp/chaos.json" || {
-    echo "chaos-smoke: summary reports digest mismatches" >&2
-    cat "$tmp/chaos.json" >&2
-    exit 1
-}
 grep -q '"failures": 0' "$tmp/chaos.json" || {
     echo "chaos-smoke: summary reports permanent failures" >&2
     cat "$tmp/chaos.json" >&2
