@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -66,6 +65,7 @@ import (
 	"time"
 
 	"idemproc/internal/chaos"
+	"idemproc/internal/metrics"
 	"idemproc/internal/resilience"
 	"idemproc/internal/server"
 	"idemproc/internal/workloads"
@@ -116,7 +116,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 		breakerThr = fs.Int("breaker-threshold", 8, "open the retry circuit breaker after this many consecutive failures (0 disables)")
 		chaosSeed  = fs.Uint64("chaos-seed", 0, "interpose a seeded fault-injection proxy (0 disables)")
 		chaosRates = fs.String("chaos-rates", "10,6,6,6", "latency,error500,reset,truncate fault percentages for -chaos-seed")
-		metricsOut = fs.String("metrics-out", "", "write client-side resilience counters (Prometheus text) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -218,13 +217,6 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	var jobsRes *jobsCampaignResult
 	completedPasses := 0
 	flush := func(failure string) {
-		if *metricsOut != "" && rc != nil {
-			var b bytes.Buffer
-			rc.Counters().WriteProm(&b, "idemload_resilience")
-			if err := os.WriteFile(*metricsOut, b.Bytes(), 0o644); err != nil {
-				fmt.Fprintf(stderr, "idemload: %v\n", err)
-			}
-		}
 		if *jsonOut == "" {
 			return
 		}
@@ -874,8 +866,7 @@ func genRequest(seed uint64, index int, weights [3]int) (string, []byte) {
 }
 
 // ---------------------------------------------------------------------
-// /metrics scrape (Prometheus text format; cache and preemption
-// counters only).
+// /metrics scrape (cache, job-resume, preemption and verify counters).
 
 type serverCounters struct {
 	hits, misses, evictions int64
@@ -889,6 +880,29 @@ type serverCounters struct {
 	verifyFailed            int64
 	verifyRejected          int64
 	verifyNanos             int64
+}
+
+// countersFrom reads the counters from a parsed /metrics page (or a
+// sum of pages); a series the page lacks reads as zero.
+func countersFrom(page map[string]float64) serverCounters {
+	n := func(name string) int64 { return int64(page[name]) }
+	return serverCounters{
+		hits:             n("idemd_buildcache_hits_total"),
+		misses:           n("idemd_buildcache_misses_total"),
+		evictions:        n("idemd_buildcache_evictions_total"),
+		compiles:         n("idemd_buildcache_compiles_total"),
+		simPreempted:     n("idemd_sim_preempted_total"),
+		diskHits:         n("idemd_buildcache_disk_hits_total"),
+		diskMisses:       n("idemd_buildcache_disk_misses_total"),
+		diskWrites:       n("idemd_buildcache_disk_writes_total"),
+		diskCorrupt:      n("idemd_buildcache_disk_corrupt_total"),
+		jobsResumed:      n("idemd_jobs_resumed_total"),
+		jobsResumedUnits: n("idemd_jobs_resumed_units_total"),
+		verifyChecked:    n("idemd_verify_checked_total"),
+		verifyFailed:     n("idemd_verify_failed_total"),
+		verifyRejected:   n("idemd_verify_rejected_artifacts_total"),
+		verifyNanos:      n("idemd_verify_nanos_total"),
+	}
 }
 
 func (c serverCounters) hitRatio() float64 {
@@ -915,80 +929,36 @@ type replicaScrape struct {
 	err    error
 }
 
-// scrapeFleet scrapes every target and sums the counters. The error
-// count is explicit: callers decide whether a partial fleet view is
-// acceptable (the JSON summary reports it as scrape_errors either way).
+// scrapeFleet scrapes every target and sums the pages series by series.
+// The error count is explicit: callers decide whether a partial fleet
+// view is acceptable (the JSON summary reports it as scrape_errors
+// either way).
 func scrapeFleet(client *http.Client, targets []string) (serverCounters, []replicaScrape, int) {
-	var total serverCounters
+	total := map[string]float64{}
 	per := make([]replicaScrape, 0, len(targets))
 	errs := 0
 	for _, tgt := range targets {
-		c, err := scrapeServer(client, "http://"+tgt)
-		per = append(per, replicaScrape{target: tgt, c: c, err: err})
+		page, err := scrapePage(client, "http://"+tgt)
+		per = append(per, replicaScrape{target: tgt, c: countersFrom(page), err: err})
 		if err != nil {
 			errs++
 			continue
 		}
-		total.hits += c.hits
-		total.misses += c.misses
-		total.evictions += c.evictions
-		total.compiles += c.compiles
-		total.simPreempted += c.simPreempted
-		total.diskHits += c.diskHits
-		total.diskMisses += c.diskMisses
-		total.diskWrites += c.diskWrites
-		total.diskCorrupt += c.diskCorrupt
-		total.jobsResumed += c.jobsResumed
-		total.jobsResumedUnits += c.jobsResumedUnits
-		total.verifyChecked += c.verifyChecked
-		total.verifyFailed += c.verifyFailed
-		total.verifyRejected += c.verifyRejected
-		total.verifyNanos += c.verifyNanos
+		for series, v := range page {
+			total[series] += v
+		}
 	}
-	return total, per, errs
+	return countersFrom(total), per, errs
 }
 
-func scrapeServer(client *http.Client, base string) (serverCounters, error) {
-	var out serverCounters
+func scrapePage(client *http.Client, base string) (map[string]float64, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return out, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return out, fmt.Errorf("/metrics: status %d", resp.StatusCode)
+		return nil, fmt.Errorf("/metrics: status %d", resp.StatusCode)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, m := range []struct {
-			name string
-			dst  *int64
-		}{
-			{"idemd_buildcache_hits_total ", &out.hits},
-			{"idemd_buildcache_misses_total ", &out.misses},
-			{"idemd_buildcache_evictions_total ", &out.evictions},
-			{"idemd_buildcache_compiles_total ", &out.compiles},
-			{"idemd_buildcache_disk_hits_total ", &out.diskHits},
-			{"idemd_buildcache_disk_misses_total ", &out.diskMisses},
-			{"idemd_buildcache_disk_writes_total ", &out.diskWrites},
-			{"idemd_buildcache_disk_corrupt_total ", &out.diskCorrupt},
-			{"idemd_sim_preempted_total ", &out.simPreempted},
-			{"idemd_jobs_resumed_total ", &out.jobsResumed},
-			{"idemd_jobs_resumed_units_total ", &out.jobsResumedUnits},
-			{"idemd_verify_checked_total ", &out.verifyChecked},
-			{"idemd_verify_failed_total ", &out.verifyFailed},
-			{"idemd_verify_rejected_artifacts_total ", &out.verifyRejected},
-			{"idemd_verify_nanos_total ", &out.verifyNanos},
-		} {
-			if v, ok := strings.CutPrefix(line, m.name); ok {
-				n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-				if err != nil {
-					return out, fmt.Errorf("parsing %q: %v", line, err)
-				}
-				*m.dst = n
-			}
-		}
-	}
-	return out, sc.Err()
+	return metrics.Parse(resp.Body)
 }

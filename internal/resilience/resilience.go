@@ -16,7 +16,6 @@
 package resilience
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -139,22 +138,6 @@ type Snapshot struct {
 	// RetryAfterHonored counts retry sleeps whose duration came from a
 	// server Retry-After hint instead of the jittered backoff curve.
 	RetryAfterHonored int64 `json:"retry_after_honored"`
-}
-
-// WriteProm renders the snapshot in Prometheus text format under the
-// given metric prefix (the same hand-rolled exposition idemd uses).
-func (s Snapshot) WriteProm(b *bytes.Buffer, prefix string) {
-	emit := func(name, help string, v int64) {
-		fmt.Fprintf(b, "# HELP %s_%s %s\n", prefix, name, help)
-		fmt.Fprintf(b, "# TYPE %s_%s counter\n", prefix, name)
-		fmt.Fprintf(b, "%s_%s %d\n", prefix, name, v)
-	}
-	emit("attempts_total", "Request executions, including retries.", s.Attempts)
-	emit("retries_total", "Re-executions after a retryable failure.", s.Retries)
-	emit("breaker_short_circuits_total", "Rounds delayed by an open breaker.", s.ShortCircuits)
-	emit("breaker_opens_total", "Times the circuit breaker opened.", s.BreakerOpens)
-	emit("failures_total", "Requests that failed permanently.", s.Failures)
-	emit("retry_after_honored_total", "Retry sleeps scheduled by a server Retry-After hint.", s.RetryAfterHonored)
 }
 
 // Client executes Attempts under a Policy. Safe for concurrent use.

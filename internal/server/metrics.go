@@ -1,20 +1,17 @@
-// Hand-rolled Prometheus text-format metrics for idemd: per-endpoint
-// request/error counters and latency histograms, an in-flight gauge,
-// shed (429) counts, and the compile cache's counters. No dependency on
-// a metrics library — the exposition format is plain text and the
-// daemon's metric set is small and fixed (docs/service.md catalogs it).
+// Prometheus metrics for idemd: per-endpoint request/error counters and
+// latency histograms, an in-flight gauge, shed (429) counts, the job
+// table's counters and the compile cache's counters. The registrations
+// below are the single source of the exposition (docs/service.md
+// catalogs it); internal/metrics renders it.
 package server
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"strconv"
 	"time"
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/jobs"
+	"idemproc/internal/metrics"
 )
 
 // latencyBuckets are the histogram upper bounds in seconds (a +Inf
@@ -25,101 +22,90 @@ var latencyBuckets = []float64{
 
 // chunkBuckets are the per-delivery result-count upper bounds for the
 // job poll/stream chunk histogram (bounded by MaxBatchUnits).
-var chunkBuckets = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
+var chunkBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
-// endpointStats accumulates one path's counters. Guarded by Metrics.mu:
-// the request rate a single simulator-bound daemon sustains is far below
-// the contention point of a mutex, and a mutex keeps the histogram and
-// its sum/count coherent in one shot.
-type endpointStats struct {
-	codes      map[int]int64
-	buckets    []int64 // cumulative form is computed at render time
-	count      int64
-	sumSeconds float64
-	errors     int64 // 4xx + 5xx responses
-}
-
-// chunkStats accumulates one delivery mode's (poll/stream) chunk-size
-// histogram. Guarded by Metrics.mu.
-type chunkStats struct {
-	buckets  []int64
-	count    int64
-	sumUnits int64
+// scrape is what one render reads from the cache and the job table,
+// each snapshotted once.
+type scrape struct {
+	cache buildcache.Stats
+	jobs  jobs.Stats
 }
 
 // Metrics is the daemon's metric registry.
 type Metrics struct {
-	mu        sync.Mutex
-	endpoints map[string]*endpointStats
-	chunks    map[string]*chunkStats
-
-	// inflight/shed are touched on the hot path before any handler work
-	// and read lock-free by the renderer.
-	inflight atomic.Int64
-	shed     atomic.Int64
+	reg      *metrics.Registry[scrape]
+	requests *metrics.CounterVec
+	errors   *metrics.CounterVec
+	latency  *metrics.HistogramVec
+	chunks   *metrics.HistogramVec
+	inflight *metrics.Gauge
+	shed     *metrics.Counter
 	// simPreempted counts simulations stopped early by request
 	// cancellation or deadline (machine.ErrPreempted).
-	simPreempted atomic.Int64
-
-	start time.Time
+	simPreempted *metrics.Counter
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		endpoints: map[string]*endpointStats{},
-		chunks:    map[string]*chunkStats{},
-		start:     time.Now(),
-	}
+	start := time.Now()
+	r := metrics.NewRegistry[scrape]()
+	m := &Metrics{reg: r}
+	m.requests = r.CounterVec("idemd_http_requests_total", "Requests served, by path and status code.", "path", "code")
+	m.errors = r.CounterVec("idemd_http_request_errors_total", "4xx/5xx responses, by path.", "path")
+	m.latency = r.Fixed(9).HistogramVec("idemd_http_request_duration_seconds", "Request latency histogram, by path.", latencyBuckets, "path")
+	m.chunks = r.HistogramVec("idemd_jobs_chunk_units", "Job results per delivery chunk, by mode (poll/stream).", chunkBuckets, "mode")
+
+	r.GaugeFunc("idemd_jobs_active", "Jobs currently running.", func(s scrape) int64 { return s.jobs.Active })
+	r.GaugeFunc("idemd_jobs_tracked", "Jobs in the table (running + finished awaiting TTL).", func(s scrape) int64 { return s.jobs.Tracked })
+	r.CounterFunc("idemd_jobs_completed_total", "Jobs that delivered every unit.", func(s scrape) int64 { return s.jobs.Completed })
+	r.CounterFunc("idemd_jobs_canceled_total", "Jobs canceled via DELETE.", func(s scrape) int64 { return s.jobs.Canceled })
+	r.CounterFunc("idemd_jobs_failed_total", "Jobs failed by an external feeder.", func(s scrape) int64 { return s.jobs.Failed })
+	r.CounterFunc("idemd_jobs_reaped_total", "Finished jobs removed after their TTL.", func(s scrape) int64 { return s.jobs.Reaped })
+	r.CounterFunc("idemd_jobs_resumed_total", "Journaled jobs resumed mid-flight after a restart.", func(s scrape) int64 { return s.jobs.ResumedJobs })
+	r.CounterFunc("idemd_jobs_resumed_units_total", "Unit results reloaded from journals instead of re-executed.", func(s scrape) int64 { return s.jobs.ResumedUnits })
+
+	m.inflight = r.Gauge("idemd_http_inflight_requests", "Requests currently being served.")
+	m.shed = r.Counter("idemd_http_shed_total", "Requests rejected with 429 by the concurrency limiter.")
+	m.simPreempted = r.Counter("idemd_sim_preempted_total", "Simulations stopped early by request cancellation or deadline.")
+
+	r.CounterFunc("idemd_buildcache_hits_total", "Compile cache hits.", func(s scrape) int64 { return s.cache.Hits })
+	r.CounterFunc("idemd_buildcache_misses_total", "Compile cache misses (builds started: compile or disk load).", func(s scrape) int64 { return s.cache.Misses })
+	r.CounterFunc("idemd_buildcache_evictions_total", "Entries evicted by the byte bound.", func(s scrape) int64 { return s.cache.Evictions })
+	r.GaugeFunc("idemd_buildcache_entries", "Resident cache entries.", func(s scrape) int64 { return int64(s.cache.Distinct) })
+	r.GaugeFunc("idemd_buildcache_bytes", "Estimated resident bytes of completed entries.", func(s scrape) int64 { return s.cache.BytesInUse })
+	r.GaugeFunc("idemd_buildcache_max_bytes", "Configured cache byte bound (0 = unbounded).", func(s scrape) int64 { return s.cache.MaxBytes })
+	r.Fixed(9).CounterFunc("idemd_buildcache_compile_seconds_total", "Wall time spent compiling, summed across workers.", func(s scrape) int64 { return int64(s.cache.CompileTime) })
+	r.CounterFunc("idemd_buildcache_compiles_total", "Actual codegen runs (misses not served by the disk tier).", func(s scrape) int64 { return s.cache.Compiles })
+	r.CounterFunc("idemd_buildcache_disk_hits_total", "Cache misses served from a persisted artifact.", func(s scrape) int64 { return s.cache.DiskHits })
+	r.CounterFunc("idemd_buildcache_disk_misses_total", "Disk-tier lookups not served (no artifact, stale, or corrupt).", func(s scrape) int64 { return s.cache.DiskMisses })
+	r.CounterFunc("idemd_buildcache_disk_writes_total", "Artifacts persisted by write-behind.", func(s scrape) int64 { return s.cache.DiskWrites })
+	r.CounterFunc("idemd_buildcache_disk_corrupt_total", "Invalid artifacts found and pruned (subset of disk misses).", func(s scrape) int64 { return s.cache.DiskCorrupt })
+	r.CounterFunc("idemd_verify_checked_total", "Programs re-checked by the translation validator (fresh compiles and decoded artifacts).", func(s scrape) int64 { return s.cache.VerifyChecked })
+	r.CounterFunc("idemd_verify_failed_total", "Validator runs that found criterion violations.", func(s scrape) int64 { return s.cache.VerifyFailed })
+	r.CounterFunc("idemd_verify_rejected_artifacts_total", "Decode-clean disk artifacts pruned after failing verification (subset of failed).", func(s scrape) int64 { return s.cache.VerifyRejectedArtifacts })
+	r.CounterFunc("idemd_verify_nanos_total", "Wall time spent inside the translation validator, nanoseconds.", func(s scrape) int64 { return s.cache.VerifyNanos })
+
+	r.Fixed(3).GaugeFunc("idemd_uptime_seconds", "Seconds since process start.", func(scrape) int64 { return time.Since(start).Milliseconds() })
+	return m
 }
 
 // ObserveChunk records one job result delivery of n units via mode
 // ("poll" or "stream").
-func (m *Metrics) ObserveChunk(mode string, n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	cs := m.chunks[mode]
-	if cs == nil {
-		cs = &chunkStats{buckets: make([]int64, len(chunkBuckets))}
-		m.chunks[mode] = cs
-	}
-	cs.count++
-	cs.sumUnits += int64(n)
-	for i, ub := range chunkBuckets {
-		if n <= ub {
-			cs.buckets[i]++
-			break
-		}
-	}
-}
+func (m *Metrics) ObserveChunk(mode string, n int) { m.chunks.With(mode).Observe(int64(n)) }
 
 // Observe records one finished request.
 func (m *Metrics) Observe(path string, code int, d time.Duration) {
-	sec := d.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ep := m.endpoints[path]
-	if ep == nil {
-		ep = &endpointStats{codes: map[int]int64{}, buckets: make([]int64, len(latencyBuckets))}
-		m.endpoints[path] = ep
-	}
-	ep.codes[code]++
-	ep.count++
-	ep.sumSeconds += sec
+	m.requests.With(path, strconv.Itoa(code)).Inc()
+	errs := m.errors.With(path) // every observed path renders, with 0 errors too
 	if code >= 400 {
-		ep.errors++
+		errs.Inc()
 	}
-	for i, ub := range latencyBuckets {
-		if sec <= ub {
-			ep.buckets[i]++
-			break
-		}
-	}
+	m.latency.With(path).Observe(int64(d))
 }
 
 // Shed records one load-shed (429) rejection; the rejection is also
 // Observed like any response.
-func (m *Metrics) Shed() { m.shed.Add(1) }
+func (m *Metrics) Shed() { m.shed.Inc() }
 
 // InFlight tracks the in-flight request gauge; call the returned func on
 // completion.
@@ -132,165 +118,13 @@ func (m *Metrics) InFlight() func() {
 func (m *Metrics) InFlightNow() int64 { return m.inflight.Load() }
 
 // SimPreempted records one simulation stopped early by cancellation.
-func (m *Metrics) SimPreempted() { m.simPreempted.Add(1) }
+func (m *Metrics) SimPreempted() { m.simPreempted.Inc() }
 
 // SimPreemptedNow reads the preemption counter (tests poll this).
 func (m *Metrics) SimPreemptedNow() int64 { return m.simPreempted.Load() }
 
-// Render emits the Prometheus text exposition. Output ordering is
-// deterministic (sorted paths and codes) so scrapes diff cleanly.
+// Render emits the Prometheus text exposition from one snapshot each of
+// the cache and the job table.
 func (m *Metrics) Render(cache buildcache.Stats, js jobs.Stats) string {
-	var b strings.Builder
-
-	m.mu.Lock()
-	paths := make([]string, 0, len(m.endpoints))
-	for p := range m.endpoints {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-
-	fmt.Fprintf(&b, "# HELP idemd_http_requests_total Requests served, by path and status code.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_http_requests_total counter\n")
-	for _, p := range paths {
-		ep := m.endpoints[p]
-		codes := make([]int, 0, len(ep.codes))
-		for c := range ep.codes {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&b, "idemd_http_requests_total{path=%q,code=\"%d\"} %d\n", p, c, ep.codes[c])
-		}
-	}
-
-	fmt.Fprintf(&b, "# HELP idemd_http_request_errors_total 4xx/5xx responses, by path.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_http_request_errors_total counter\n")
-	for _, p := range paths {
-		fmt.Fprintf(&b, "idemd_http_request_errors_total{path=%q} %d\n", p, m.endpoints[p].errors)
-	}
-
-	fmt.Fprintf(&b, "# HELP idemd_http_request_duration_seconds Request latency histogram, by path.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_http_request_duration_seconds histogram\n")
-	for _, p := range paths {
-		ep := m.endpoints[p]
-		cum := int64(0)
-		for i, ub := range latencyBuckets {
-			cum += ep.buckets[i]
-			fmt.Fprintf(&b, "idemd_http_request_duration_seconds_bucket{path=%q,le=\"%g\"} %d\n", p, ub, cum)
-		}
-		fmt.Fprintf(&b, "idemd_http_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, ep.count)
-		fmt.Fprintf(&b, "idemd_http_request_duration_seconds_sum{path=%q} %.9f\n", p, ep.sumSeconds)
-		fmt.Fprintf(&b, "idemd_http_request_duration_seconds_count{path=%q} %d\n", p, ep.count)
-	}
-
-	modes := make([]string, 0, len(m.chunks))
-	for mode := range m.chunks {
-		modes = append(modes, mode)
-	}
-	sort.Strings(modes)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_chunk_units Job results per delivery chunk, by mode (poll/stream).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_chunk_units histogram\n")
-	for _, mode := range modes {
-		cs := m.chunks[mode]
-		cum := int64(0)
-		for i, ub := range chunkBuckets {
-			cum += cs.buckets[i]
-			fmt.Fprintf(&b, "idemd_jobs_chunk_units_bucket{mode=%q,le=\"%d\"} %d\n", mode, ub, cum)
-		}
-		fmt.Fprintf(&b, "idemd_jobs_chunk_units_bucket{mode=%q,le=\"+Inf\"} %d\n", mode, cs.count)
-		fmt.Fprintf(&b, "idemd_jobs_chunk_units_sum{mode=%q} %d\n", mode, cs.sumUnits)
-		fmt.Fprintf(&b, "idemd_jobs_chunk_units_count{mode=%q} %d\n", mode, cs.count)
-	}
-	m.mu.Unlock()
-
-	fmt.Fprintf(&b, "# HELP idemd_jobs_active Jobs currently running.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_active gauge\n")
-	fmt.Fprintf(&b, "idemd_jobs_active %d\n", js.Active)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_tracked Jobs in the table (running + finished awaiting TTL).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_tracked gauge\n")
-	fmt.Fprintf(&b, "idemd_jobs_tracked %d\n", js.Tracked)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_completed_total Jobs that delivered every unit.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_completed_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_completed_total %d\n", js.Completed)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_canceled_total Jobs canceled via DELETE.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_canceled_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_canceled_total %d\n", js.Canceled)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_failed_total Jobs failed by an external feeder.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_failed_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_failed_total %d\n", js.Failed)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_reaped_total Finished jobs removed after their TTL.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_reaped_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_reaped_total %d\n", js.Reaped)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_resumed_total Journaled jobs resumed mid-flight after a restart.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_resumed_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_resumed_total %d\n", js.ResumedJobs)
-	fmt.Fprintf(&b, "# HELP idemd_jobs_resumed_units_total Unit results reloaded from journals instead of re-executed.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_jobs_resumed_units_total counter\n")
-	fmt.Fprintf(&b, "idemd_jobs_resumed_units_total %d\n", js.ResumedUnits)
-
-	fmt.Fprintf(&b, "# HELP idemd_http_inflight_requests Requests currently being served.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_http_inflight_requests gauge\n")
-	fmt.Fprintf(&b, "idemd_http_inflight_requests %d\n", m.inflight.Load())
-
-	fmt.Fprintf(&b, "# HELP idemd_http_shed_total Requests rejected with 429 by the concurrency limiter.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_http_shed_total counter\n")
-	fmt.Fprintf(&b, "idemd_http_shed_total %d\n", m.shed.Load())
-
-	fmt.Fprintf(&b, "# HELP idemd_sim_preempted_total Simulations stopped early by request cancellation or deadline.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_sim_preempted_total counter\n")
-	fmt.Fprintf(&b, "idemd_sim_preempted_total %d\n", m.simPreempted.Load())
-
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_hits_total Compile cache hits.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_hits_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_hits_total %d\n", cache.Hits)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_misses_total Compile cache misses (builds started: compile or disk load).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_misses_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_misses_total %d\n", cache.Misses)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_evictions_total Entries evicted by the byte bound.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_evictions_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_evictions_total %d\n", cache.Evictions)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_entries Resident cache entries.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_entries gauge\n")
-	fmt.Fprintf(&b, "idemd_buildcache_entries %d\n", cache.Distinct)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_bytes Estimated resident bytes of completed entries.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_bytes gauge\n")
-	fmt.Fprintf(&b, "idemd_buildcache_bytes %d\n", cache.BytesInUse)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_max_bytes Configured cache byte bound (0 = unbounded).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_max_bytes gauge\n")
-	fmt.Fprintf(&b, "idemd_buildcache_max_bytes %d\n", cache.MaxBytes)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_compile_seconds_total Wall time spent compiling, summed across workers.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_compile_seconds_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_compile_seconds_total %.9f\n", cache.CompileTime.Seconds())
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_compiles_total Actual codegen runs (misses not served by the disk tier).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_compiles_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_compiles_total %d\n", cache.Compiles)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_disk_hits_total Cache misses served from a persisted artifact.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_disk_hits_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_disk_hits_total %d\n", cache.DiskHits)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_disk_misses_total Disk-tier lookups not served (no artifact, stale, or corrupt).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_disk_misses_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_disk_misses_total %d\n", cache.DiskMisses)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_disk_writes_total Artifacts persisted by write-behind.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_disk_writes_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_disk_writes_total %d\n", cache.DiskWrites)
-	fmt.Fprintf(&b, "# HELP idemd_buildcache_disk_corrupt_total Invalid artifacts found and pruned (subset of disk misses).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_buildcache_disk_corrupt_total counter\n")
-	fmt.Fprintf(&b, "idemd_buildcache_disk_corrupt_total %d\n", cache.DiskCorrupt)
-	fmt.Fprintf(&b, "# HELP idemd_verify_checked_total Programs re-checked by the translation validator (fresh compiles and decoded artifacts).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_verify_checked_total counter\n")
-	fmt.Fprintf(&b, "idemd_verify_checked_total %d\n", cache.VerifyChecked)
-	fmt.Fprintf(&b, "# HELP idemd_verify_failed_total Validator runs that found criterion violations.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_verify_failed_total counter\n")
-	fmt.Fprintf(&b, "idemd_verify_failed_total %d\n", cache.VerifyFailed)
-	fmt.Fprintf(&b, "# HELP idemd_verify_rejected_artifacts_total Decode-clean disk artifacts pruned after failing verification (subset of failed).\n")
-	fmt.Fprintf(&b, "# TYPE idemd_verify_rejected_artifacts_total counter\n")
-	fmt.Fprintf(&b, "idemd_verify_rejected_artifacts_total %d\n", cache.VerifyRejectedArtifacts)
-	fmt.Fprintf(&b, "# HELP idemd_verify_nanos_total Wall time spent inside the translation validator, nanoseconds.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_verify_nanos_total counter\n")
-	fmt.Fprintf(&b, "idemd_verify_nanos_total %d\n", cache.VerifyNanos)
-
-	fmt.Fprintf(&b, "# HELP idemd_uptime_seconds Seconds since process start.\n")
-	fmt.Fprintf(&b, "# TYPE idemd_uptime_seconds gauge\n")
-	fmt.Fprintf(&b, "idemd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-	return b.String()
+	return m.reg.Render(scrape{cache: cache, jobs: js})
 }

@@ -4,8 +4,8 @@
 // /v1/simulate runs the machine simulator (optionally with faults armed)
 // and returns the state digest, and POST /v1/batch fans many units onto
 // the experiment engine's worker pool. GET /healthz, /readyz and
-// /metrics serve liveness, drain-aware readiness and hand-rolled
-// Prometheus text metrics.
+// /metrics serve liveness, drain-aware readiness and Prometheus text
+// metrics (registered in metrics.go, rendered by internal/metrics).
 //
 // Request coalescing and artifact caching come from the shared
 // buildcache: concurrent requests for the same (workload, options) key

@@ -5,7 +5,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
@@ -18,13 +17,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/jobs"
+	"idemproc/internal/metrics"
 	"idemproc/internal/resilience"
 	"idemproc/internal/server"
 )
@@ -309,11 +308,15 @@ func (f *Front) setHealth(b *backend, ok bool, why string) {
 	f.cfg.Logf("idemfront: backend %s %s (%s); ring generation %d", b.id, state, why, gen)
 }
 
-// healthSnapshot is the router's live health view for /metrics.
-func (f *Front) healthSnapshot() map[string]bool {
-	out := make(map[string]bool, len(f.backends))
+// healthSnapshot is the router's live health view for /metrics: 1 for
+// a ready backend, 0 for one marked out.
+func (f *Front) healthSnapshot() map[string]int64 {
+	out := make(map[string]int64, len(f.backends))
 	for id, b := range f.backends {
-		out[id] = b.healthy.Load()
+		out[id] = 0
+		if b.healthy.Load() {
+			out[id] = 1
+		}
 	}
 	return out
 }
@@ -359,8 +362,9 @@ func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // verifyTotals sums the idemd_verify_* counters across healthy backends
 // by scraping their /metrics concurrently (bounded by HealthTimeout, the
 // same budget as a readiness probe). Replicas own verification — the
-// front only aggregates — so a backend that fails to answer simply
-// contributes nothing this scrape; Backends records how many did.
+// front only aggregates — so a backend whose page fails to arrive, fails
+// to parse or lacks any of the three counters contributes nothing this
+// scrape; Backends records how many whole pages were summed.
 func (f *Front) verifyTotals() VerifyTotals {
 	var (
 		mu sync.Mutex
@@ -392,50 +396,28 @@ func (f *Front) verifyTotals() VerifyTotals {
 			if resp.StatusCode != http.StatusOK {
 				return
 			}
-			checked, failed, rejected, found := parseVerifyCounters(resp.Body)
-			if !found {
+			page, err := metrics.Parse(resp.Body)
+			if err != nil {
 				return
 			}
+			var v [3]int64
+			for i, name := range []string{"idemd_verify_checked_total", "idemd_verify_failed_total", "idemd_verify_rejected_artifacts_total"} {
+				x, ok := page[name]
+				if !ok {
+					return
+				}
+				v[i] = int64(x)
+			}
 			mu.Lock()
-			vt.Checked += checked
-			vt.Failed += failed
-			vt.RejectedArtifacts += rejected
+			vt.Checked += v[0]
+			vt.Failed += v[1]
+			vt.RejectedArtifacts += v[2]
 			vt.Backends++
 			mu.Unlock()
 		}(b)
 	}
 	wg.Wait()
 	return vt
-}
-
-// parseVerifyCounters extracts the three idemd_verify_* counters from a
-// Prometheus text stream; found is false when none are present (an old
-// replica, or not an idemd /metrics page at all).
-func parseVerifyCounters(r io.Reader) (checked, failed, rejected int64, found bool) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	take := func(line, name string) (int64, bool) {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			return 0, false
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	for sc.Scan() {
-		line := sc.Text()
-		if v, ok := take(line, "idemd_verify_checked_total"); ok {
-			checked, found = v, true
-		} else if v, ok := take(line, "idemd_verify_failed_total"); ok {
-			failed, found = v, true
-		} else if v, ok := take(line, "idemd_verify_rejected_artifacts_total"); ok {
-			rejected, found = v, true
-		}
-	}
-	return checked, failed, rejected, found
 }
 
 // respond writes one front-level response and records it.

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"idemproc/internal/metrics"
 	"idemproc/internal/server"
 )
 
@@ -394,5 +395,49 @@ func TestFrontMetricsRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// TestFrontVerifyTotalsSkipPartialPages: a replica counts toward the
+// fleet verify totals only when its whole /metrics page parses and
+// carries all three idemd_verify_* counters; a partial sum would gate
+// on the wrong number.
+func TestFrontVerifyTotalsSkipPartialPages(t *testing.T) {
+	_, good := newReplica(t)
+	backends := []string{good}
+	for _, page := range []string{
+		"idemd_verify_checked_total 5\nidemd_verify_failed_total 0\nidemd_verify_rejected_artifacts_total 1x\n",
+		"idemd_verify_checked_total 5\nidemd_verify_failed_total 0\n",
+	} {
+		fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/metrics" {
+				io.WriteString(w, page)
+			}
+		}))
+		t.Cleanup(fake.Close)
+		backends = append(backends, strings.TrimPrefix(fake.URL, "http://"))
+	}
+	_, frontURL := newFront(t, backends, nil)
+
+	scrape := func(url string) map[string]float64 {
+		t.Helper()
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		page, err := metrics.Parse(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	want := scrape("http://" + good)["idemd_verify_checked_total"]
+	fleet := scrape(frontURL)
+	if n := fleet["idemfront_verify_scraped_backends"]; n != 1 {
+		t.Errorf("idemfront_verify_scraped_backends = %v, want 1 (only the whole page)", n)
+	}
+	if got := fleet["idemd_verify_checked_total"]; got != want {
+		t.Errorf("fleet idemd_verify_checked_total = %v, want %v from the whole page alone", got, want)
 	}
 }
