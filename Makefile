@@ -76,11 +76,11 @@ persist-smoke: build
 shard-smoke: build
 	./scripts/shard_smoke.sh
 
-# verify-smoke is the end-to-end translation-validation gate: boot
-# `idemd -verify-mode full`, compile every built-in workload through
-# /v1/compile (each response must report verified=true), drive the
-# seeded mixed load, and assert via scraped metrics that checks ran and
-# zero violations were found. See scripts/verify_smoke.sh and
+# verify-smoke is the end-to-end translation-validation gate: boot a
+# plain `idemd` (verification is always on), compile every built-in
+# workload through /v1/compile (each response must report
+# verified=true), drive the seeded mixed load, and assert via scraped
+# metrics that checks ran and zero violations were found. See scripts/verify_smoke.sh and
 # docs/verify.md.
 verify-smoke: build
 	./scripts/verify_smoke.sh

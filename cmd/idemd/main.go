@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"idemproc/internal/buildcache"
 	"idemproc/internal/server"
 )
 
@@ -65,24 +64,17 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request deadline on /v1/* endpoints (negative disables)")
 		cacheBytes   = fs.Int64("cache-bytes", 0, "compile-cache byte bound; LRU entries are evicted past it (0 = unbounded)")
 		cacheDir     = fs.String("cache-dir", "", "persistent artifact store directory: compiles are written behind as verified artifacts and reloaded across restarts (empty = memory-only)")
-		verifyMode   = fs.String("verify-mode", "off", "translation-validator mode: off, sampled (deterministic sample of fresh compiles + every disk artifact), or full (see docs/verify.md)")
 		maxJobs      = fs.Int("max-jobs", 64, "bound on the async job table (/v1/jobs); excess submissions are shed with 429")
 		jobTTL       = fs.Duration("job-ttl", 10*time.Minute, "how long a finished job stays queryable before it is reaped")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before abandoning them")
 		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this side listener (host:port; port 0 picks a free port; empty = off)")
-		quiet        = fs.Bool("quiet", false, "suppress the per-request log line")
+		quiet        = fs.Bool("quiet", false, "suppress lifecycle log lines")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "idemd: unexpected arguments: %v\n", fs.Args())
-		return 2
-	}
-
-	vm, err := buildcache.ParseVerifyMode(*verifyMode)
-	if err != nil {
-		fmt.Fprintf(stderr, "idemd: %v\n", err)
 		return 2
 	}
 
@@ -102,7 +94,6 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		RequestTimeout: *reqTimeout,
 		CacheMaxBytes:  *cacheBytes,
 		CacheDir:       *cacheDir,
-		VerifyMode:     vm,
 		MaxJobs:        *maxJobs,
 		JobTTL:         *jobTTL,
 		Logf:           logf,

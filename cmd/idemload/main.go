@@ -39,9 +39,9 @@
 // (scraped from the daemon's /metrics, so smoke-test scripts need no
 // curl/jq). The disk assertions drive the warm-restart tests against
 // `idemd -cache-dir` (docs/persistence.md); -min-verified drives the
-// translation-validation smoke against `idemd -verify-mode full`
-// (docs/verify.md). SIGINT/SIGTERM flushes partial -json results and
-// exits 130.
+// translation-validation smoke, proving the daemon re-proved what it
+// served (docs/verify.md). SIGINT/SIGTERM flushes partial -json results
+// and exits 130.
 package main
 
 import (
@@ -272,7 +272,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 				"failed":             cache.verifyFailed,
 				"rejected_artifacts": cache.verifyRejected,
 			}
-			// verify_ns is the bench guard's cost ledger: total wall time
+			// verify_ns is the validator's cost ledger: total wall time
 			// the daemon spent inside the translation validator and the
 			// per-check average (scripts/bench_serve.sh, docs/verify.md).
 			perCheck := int64(0)
@@ -493,7 +493,7 @@ func realMain(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) in
 	}
 	if *minVerified >= 0 {
 		if cache.verifyChecked < *minVerified {
-			fmt.Fprintf(stderr, "idemload: %d validator checks below required %d (is -verify-mode on?)\n",
+			fmt.Fprintf(stderr, "idemload: %d validator checks below required %d (did the campaign build only markless or relaxed-alloc programs?)\n",
 				cache.verifyChecked, *minVerified)
 			flush("min-verified assertion failed")
 			return 1
@@ -590,8 +590,8 @@ type sender func(ctx context.Context, key uint64, path string, body []byte) (int
 // sweepCompiles posts one /v1/compile per built-in workload with the
 // paper-default options, sequentially in catalog order. requireVerified
 // additionally demands each response carry verified=true — the
-// end-to-end proof that a -verify-mode full daemon really validated
-// every program it can build (scripts/verify_smoke.sh).
+// end-to-end proof that the daemon really validated every program it
+// can build (scripts/verify_smoke.sh).
 func sweepCompiles(ctx context.Context, client *http.Client, base string, requireVerified bool) (int, error) {
 	n := 0
 	for _, w := range workloads.All() {

@@ -9,8 +9,8 @@
 // (safe because a linked Program is read-only — see the codegen.Program
 // immutability contract).
 //
-// Two properties matter for the long-running service (cmd/idemd) beyond
-// the batch drivers:
+// Three properties matter for the long-running service (cmd/idemd) and
+// the batch drivers alike:
 //
 //   - Cancellation: Compile takes a context. The compile itself runs on a
 //     detached goroutine owned by the cache, so a canceled requester
@@ -25,6 +25,12 @@
 //     Evicting an entry drops the cache's reference (and the memoized
 //     predecode, see machine.DropPredecode); Programs already handed out
 //     remain valid because they are immutable.
+//
+//   - Translation validation: every fresh compile, and every disk-tier
+//     artifact after decode, is re-proved against the §2.1 criterion by
+//     internal/verify before it is served (see runVerify). A fresh
+//     compile that fails becomes a memoized build error; a disk artifact
+//     that fails is pruned like a corrupt one and recompiled.
 package buildcache
 
 import (
@@ -66,7 +72,7 @@ type entry struct {
 	stats *codegen.BuildStats
 	err   error
 	// verified is set when the translation validator checked this program
-	// and found no violations (see VerifyMode); written before done is
+	// and found no violations (see runVerify); written before done is
 	// closed, read only after.
 	verified bool
 
@@ -89,10 +95,6 @@ type Cache struct {
 	// cache is memory-only). It is only consulted on memory misses and
 	// written off the singleflight path.
 	disk *Disk
-
-	// verifyMode is fixed at configuration time (SetVerifyMode), before
-	// the cache starts serving.
-	verifyMode VerifyMode
 
 	// Counters are atomics: they are written on the request path (under
 	// mu or not) and read lock-free by Stats, which /metrics scrapes
@@ -257,19 +259,16 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 	// kind — missing, stale, corrupt — degrade to a recompile.
 	if c.disk != nil {
 		if p, st, ok := c.disk.load(e.key); ok {
-			// Every decoded artifact is re-verified when verification is on:
-			// the artifact file is the one input this process's compiler did
-			// not just produce. A rejection mirrors the corrupt-artifact
-			// contract — prune, re-book as a disk miss, recompile — and is
-			// never an error.
-			if c.verifyMode != VerifyOff {
-				if rep := c.runVerify(p, mo); rep != nil && !rep.OK() {
-					c.verifyRejected.Add(1)
-					c.disk.reject(e.key)
-					p, st = nil, nil
-				} else {
-					e.verified = rep != nil
-				}
+			// Every decoded artifact is re-verified: the artifact file is the
+			// one input this process's compiler did not just produce. A
+			// rejection mirrors the corrupt-artifact contract — prune,
+			// re-book as a disk miss, recompile — and is never an error.
+			if rep := c.runVerify(p, mo); rep != nil && !rep.OK() {
+				c.verifyRejected.Add(1)
+				c.disk.reject(e.key)
+				p, st = nil, nil
+			} else {
+				e.verified = rep != nil
 			}
 			if p != nil {
 				e.prog, e.stats = p, st
@@ -282,7 +281,7 @@ func (c *Cache) build(e *entry, w workloads.Workload, mo codegen.ModuleOptions) 
 	compiled = true
 	c.compiles.Add(1)
 	e.prog, e.stats, e.err = codegen.CompileModuleOpts(w.Module(), "main", w.MemWords, mo)
-	if e.err == nil && c.verifyFresh(e.key) {
+	if e.err == nil {
 		if rep := c.runVerify(e.prog, mo); rep != nil {
 			if rep.OK() {
 				e.verified = true
@@ -404,12 +403,12 @@ type Stats struct {
 	// corrupt payload — DiskCorrupt is the subset that found an invalid
 	// file); DiskWrites counts artifacts persisted.
 	DiskHits, DiskMisses, DiskWrites, DiskCorrupt int64
-	// Verification counters (all zero when VerifyMode is off).
-	// VerifyChecked counts validator runs over fresh compiles and decoded
-	// artifacts; VerifyFailed counts runs that found violations;
-	// VerifyRejectedArtifacts is the subset of failures that pruned a
-	// decode-clean disk artifact. VerifyNanos is wall time spent inside
-	// the validator, the numerator of the bench guard's per-check cost.
+	// Verification counters. VerifyChecked counts validator runs over
+	// fresh compiles and decoded artifacts; VerifyFailed counts runs that
+	// found violations; VerifyRejectedArtifacts is the subset of failures
+	// that pruned a decode-clean disk artifact. VerifyNanos is wall time
+	// spent inside the validator (the verify_ns ledger of
+	// BENCH_serve.json).
 	VerifyChecked, VerifyFailed, VerifyRejectedArtifacts int64
 	VerifyNanos                                          int64
 }
@@ -448,8 +447,8 @@ func (c *Cache) Stats() Stats {
 
 // Verified reports whether the cached entry for (w, mo) was checked by
 // the translation validator and passed. It is false for entries that
-// were not sampled, were skipped (markless or relaxed-alloc builds),
-// are still in flight, or are not resident.
+// were skipped (markless or relaxed-alloc builds), failed, are still in
+// flight, or are not resident.
 func (c *Cache) Verified(w workloads.Workload, mo codegen.ModuleOptions) bool {
 	key := KeyOf(w, mo)
 	c.mu.Lock()

@@ -11,24 +11,6 @@ import (
 	"idemproc/internal/workloads"
 )
 
-func TestParseVerifyMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want VerifyMode
-	}{{"", VerifyOff}, {"off", VerifyOff}, {"sampled", VerifySampled}, {"full", VerifyFull}} {
-		got, err := ParseVerifyMode(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseVerifyMode(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() == "" {
-			t.Errorf("VerifyMode(%v).String() empty", got)
-		}
-	}
-	if _, err := ParseVerifyMode("always"); err == nil {
-		t.Error("ParseVerifyMode(always) should fail")
-	}
-}
-
 // invalidMutant compiles w and NOPs out a MARK such that the validator
 // rejects the result — a decode-clean but semantically broken program.
 func invalidMutant(t *testing.T, w workloads.Workload, mo codegen.ModuleOptions) *codegen.Program {
@@ -71,7 +53,6 @@ func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 
 	dir := t.TempDir()
 	c := NewBoundedDisk(0, dir)
-	c.SetVerifyMode(VerifyFull)
 	key := KeyOf(w, mo)
 	if err := c.disk.store(key, mutant, &codegen.BuildStats{}); err != nil {
 		t.Fatalf("store mutant artifact: %v", err)
@@ -109,7 +90,6 @@ func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 	// a new cache must now serve a verified program from disk alone.
 	closeCache(t, c)
 	c2 := NewBoundedDisk(0, dir)
-	c2.SetVerifyMode(VerifyFull)
 	if _, _, err := c2.Compile(context.Background(), w, mo); err != nil {
 		t.Fatalf("Compile from replaced artifact: %v", err)
 	}
@@ -122,60 +102,6 @@ func TestVerifyRejectsInvalidArtifact(t *testing.T) {
 	}
 }
 
-// TestVerifySampledDeterministic: sampled mode checks the same keys on
-// every run, and off mode checks nothing.
-func TestVerifySampledDeterministic(t *testing.T) {
-	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
-	var sampledWorkload, unsampledWorkload *workloads.Workload
-	for i := range workloads.All() {
-		w := workloads.All()[i]
-		if sampleKey(KeyOf(w, mo)) {
-			if sampledWorkload == nil {
-				sampledWorkload = &w
-			}
-		} else if unsampledWorkload == nil {
-			unsampledWorkload = &w
-		}
-	}
-
-	c := New()
-	c.SetVerifyMode(VerifySampled)
-	checked := int64(0)
-	if sampledWorkload != nil {
-		if _, _, err := c.Compile(context.Background(), *sampledWorkload, mo); err != nil {
-			t.Fatal(err)
-		}
-		checked++
-		if !c.Verified(*sampledWorkload, mo) {
-			t.Errorf("sampled workload %s not verified", sampledWorkload.Name)
-		}
-	}
-	if unsampledWorkload != nil {
-		if _, _, err := c.Compile(context.Background(), *unsampledWorkload, mo); err != nil {
-			t.Fatal(err)
-		}
-		if c.Verified(*unsampledWorkload, mo) {
-			t.Errorf("unsampled workload %s unexpectedly verified", unsampledWorkload.Name)
-		}
-	}
-	if st := c.Stats(); st.VerifyChecked != checked || st.VerifyFailed != 0 {
-		t.Errorf("sampled stats = %+v, want checked=%d failed=0", st, checked)
-	}
-
-	off := New()
-	if w := sampledWorkload; w != nil {
-		if _, _, err := off.Compile(context.Background(), *w, mo); err != nil {
-			t.Fatal(err)
-		}
-		if st := off.Stats(); st.VerifyChecked != 0 {
-			t.Errorf("off-mode cache checked %d programs", st.VerifyChecked)
-		}
-		if off.Verified(*w, mo) {
-			t.Error("off-mode entry marked verified")
-		}
-	}
-}
-
 // TestVerifyFullSkipsNonIdempotent: markless and relaxed-alloc builds
 // have no contract to check and must not fail or count as checked.
 func TestVerifyFullSkipsNonIdempotent(t *testing.T) {
@@ -184,7 +110,6 @@ func TestVerifyFullSkipsNonIdempotent(t *testing.T) {
 		t.Fatal("bzip2 workload missing")
 	}
 	c := New()
-	c.SetVerifyMode(VerifyFull)
 	for _, mo := range []codegen.ModuleOptions{
 		{Core: core.DefaultOptions()},
 		{Idempotent: true, Core: core.DefaultOptions(), RelaxedAlloc: true},
@@ -202,22 +127,21 @@ func TestVerifyFullSkipsNonIdempotent(t *testing.T) {
 }
 
 // TestVerifyFullPassesSuite: the full workload suite compiles and
-// verifies through the cache in full mode.
+// verifies through a default cache.
 func TestVerifyFullPassesSuite(t *testing.T) {
 	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
 	c := New()
-	c.SetVerifyMode(VerifyFull)
 	for _, w := range workloads.All() {
 		if _, _, err := c.Compile(context.Background(), w, mo); err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		if !c.Verified(w, mo) {
-			t.Errorf("%s: not verified in full mode", w.Name)
+			t.Errorf("%s: not verified", w.Name)
 		}
 	}
 	st := c.Stats()
 	if st.VerifyFailed != 0 {
-		t.Errorf("full-mode suite: %+v", st)
+		t.Errorf("suite: %+v", st)
 	}
 	if st.VerifyChecked != int64(len(workloads.All())) {
 		t.Errorf("VerifyChecked = %d, want %d", st.VerifyChecked, len(workloads.All()))

@@ -220,11 +220,11 @@ type CompileReport struct {
 	FrameWords   int `json:"frame_words"`
 
 	// Verified is true when the serving cache's translation validator
-	// (see Config.VerifyMode and docs/verify.md) checked this build and
-	// found no §2.1 violations; false when verification is off, the
-	// build was not sampled, or there was nothing to check. The library
-	// constructor ReportForBuild leaves it false — only the serving path
-	// knows the cache's verification status.
+	// (see docs/verify.md) checked this build and found no §2.1
+	// violations; false when there was nothing to check (markless and
+	// relaxed-alloc builds). The library constructor ReportForBuild
+	// leaves it false — only the serving path knows the cache's
+	// verification status.
 	Verified bool `json:"verified"`
 
 	// Functions holds the per-function region construction, sorted by

@@ -57,10 +57,11 @@ type Config struct {
 	// misses (cold start, eviction) reload from disk instead of
 	// recompiling. See docs/persistence.md.
 	CacheDir string
-	// VerifyMode re-checks compiled programs against the §2.1 criterion
-	// with the internal/verify translation validator (off by default;
-	// see docs/verify.md). Sampled and full modes also re-verify every
-	// disk artifact after decode.
+	// VerifyMode is ignored: the compile cache re-proves every fresh
+	// compile and every disk artifact against the §2.1 criterion (see
+	// docs/verify.md).
+	//
+	// Deprecated: perfbench is the only user of this field.
 	VerifyMode buildcache.VerifyMode
 	// MaxBodyBytes bounds request bodies (default 8 MiB).
 	MaxBodyBytes int64
@@ -146,7 +147,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cache := buildcache.NewBoundedDisk(cfg.CacheMaxBytes, cfg.CacheDir)
-	cache.SetVerifyMode(cfg.VerifyMode)
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,

@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"idemproc/internal/buildcache"
 	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
 )
@@ -198,6 +197,37 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	}
 	if !bytes.Equal(embedded, marshal(t, &sr)) {
 		t.Errorf("batch-embedded compile report differs from /v1/compile:\n  batch:  %s\n  single: %s", embedded, single)
+	}
+}
+
+// TestCompileVerifiedByDefault: a zero-value Config re-proves every
+// idempotent build it serves, and reports a markless build as unchecked.
+func TestCompileVerifiedByDefault(t *testing.T) {
+	s := newServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		body string
+		want bool
+	}{
+		{`{"workload":"mcf"}`, true},
+		{`{"workload":"mcf","options":{"idempotent":false}}`, false},
+	} {
+		code, b := postJSON(t, ts.Client(), ts.URL+"/v1/compile", []byte(tc.body))
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d body %s", tc.body, code, b)
+		}
+		var rep CompileReport
+		if err := json.Unmarshal(b, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Verified != tc.want {
+			t.Errorf("%s: verified = %v, want %v", tc.body, rep.Verified, tc.want)
+		}
+	}
+	if st := s.Cache().Stats(); st.VerifyChecked != 1 || st.VerifyFailed != 0 {
+		t.Errorf("verify counters = %d checked / %d failed, want 1/0", st.VerifyChecked, st.VerifyFailed)
 	}
 }
 
@@ -536,7 +566,7 @@ func TestMetricsCatalog(t *testing.T) {
 // request), so only the cache's own lifecycle can wait for it.
 func TestShutdownPersistsInFlightBuild(t *testing.T) {
 	dir := t.TempDir()
-	s := newServer(t, Config{CacheDir: dir, VerifyMode: buildcache.VerifyFull})
+	s := newServer(t, Config{CacheDir: dir})
 	w, ok := workloads.ByName("astar")
 	if !ok {
 		t.Fatal("astar workload missing")

@@ -7,8 +7,10 @@
 # (which flushes in-flight artifact writes). Phase 2 restarts idemd over
 # the same directory and replays the identical seeded pass: idemload
 # asserts the daemon compiled nothing (-max-compiles 0), served every
-# build from disk (-min-disk-hit-ratio 1), and the response digests of
-# the two runs must be byte-identical. Phase 3 corrupts one artifact
+# build from disk (-min-disk-hit-ratio 1) and re-proved what it loaded
+# with the translation validator (-min-verified 1: with no compiles,
+# every check ran on a decoded artifact, and none may fail), and the
+# response digests of the two runs must be byte-identical. Phase 3 corrupts one artifact
 # (truncation) and restarts: the damaged file must be counted in
 # idemd_buildcache_disk_corrupt_total, transparently recompiled, and the
 # digest must still match.
@@ -65,9 +67,9 @@ arts="$(find "$store" -name '*.art' | wc -l)"
 [ "$arts" -gt 0 ] || { echo "persist-smoke: no artifacts persisted" >&2; exit 1; }
 echo "persist-smoke: $arts artifacts persisted"
 
-echo "persist-smoke: phase 2 — warm restart: zero compiles, all from disk"
+echo "persist-smoke: phase 2 — warm restart: zero compiles, all from disk, all re-proved"
 start_idemd
-load "$tmp/pass2.json" -min-disk-hit-ratio 1 -max-compiles 0
+load "$tmp/pass2.json" -min-disk-hit-ratio 1 -max-compiles 0 -min-verified 1
 stop_idemd
 
 d1="$(digest_of "$tmp/pass1.json")"

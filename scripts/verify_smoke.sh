@@ -2,8 +2,9 @@
 # verify_smoke.sh — end-to-end smoke test of the translation validator
 # in the serving path (docs/verify.md).
 #
-# Boot idemd with -verify-mode full, sweep a compile of every built-in
-# workload (idemload -sweep-compiles asserts each response reports
+# Boot a plain idemd (no flag: verification is always on, and this
+# smoke pins that default), sweep a compile of every built-in workload
+# (idemload -sweep-compiles asserts each response reports
 # verified=true), then fire a seeded mixed burst so the option variants
 # in the load palette get validated too. idemload's -min-verified gate
 # then asserts, from the daemon's own /metrics, that the validator
@@ -25,7 +26,7 @@ trap cleanup EXIT INT TERM
 "$GO" build -o "$tmp/idemload" ./cmd/idemload
 
 rm -f "$tmp/addr"
-"$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -verify-mode full -quiet &
+"$tmp/idemd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -quiet &
 pid=$!
 i=0
 while [ ! -f "$tmp/addr" ]; do
@@ -34,7 +35,7 @@ while [ ! -f "$tmp/addr" ]; do
     sleep 0.1
 done
 
-echo "verify-smoke: full verification over every workload + seeded burst"
+echo "verify-smoke: default verification over every workload + seeded burst"
 "$tmp/idemload" -addr "$(cat "$tmp/addr")" \
     -sweep-compiles -concurrency 16 -requests 150 -seed 11 \
     -min-verified 29
