@@ -96,14 +96,15 @@ jobs-smoke: build
 
 # The race detector multiplies runtime; race-fault covers the concurrent
 # components quickly (campaign engine, simulator, compile cache,
-# experiment engine, idemd service core, metrics core, resilience/chaos
-# layers and the cmd-level signal paths), race runs the whole tree.
+# experiment engine, idemd service core, metrics core, request skeleton,
+# resilience/chaos layers and the cmd-level signal paths), race runs the
+# whole tree.
 race-fault:
 	$(GO) test -race ./internal/fault/... ./internal/machine/... \
 		./internal/buildcache/... ./internal/experiments/... \
 		./internal/server/... ./internal/resilience/... \
 		./internal/chaos/... ./internal/shard/... ./internal/jobs/... \
-		./internal/metrics/... \
+		./internal/metrics/... ./internal/httpd/... \
 		./cmd/idemd/... ./cmd/idemfront/... ./cmd/idemload/...
 
 race:
@@ -116,8 +117,8 @@ race:
 flake:
 	$(GO) test -count=5 -shuffle=on ./internal/buildcache/... \
 		./internal/jobs/... ./internal/server/... ./internal/shard/... \
-		./internal/resilience/... ./internal/metrics/... ./cmd/idemd/... \
-		./cmd/idemfront/... ./cmd/idemload/...
+		./internal/resilience/... ./internal/metrics/... ./internal/httpd/... \
+		./cmd/idemd/... ./cmd/idemfront/... ./cmd/idemload/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

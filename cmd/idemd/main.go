@@ -17,26 +17,23 @@
 // guidance, docs/jobs.md for the async job API and its resume
 // guarantees (with -cache-dir, a killed daemon resumes interrupted
 // jobs on restart without re-executing completed units).
-// SIGINT/SIGTERM drain
-// gracefully: /readyz flips to 503, in-flight requests finish (up to
-// -drain-timeout), then the process exits 0. A second signal during the
-// drain force-closes every connection and exits 3 immediately, so a
-// stuck drain can always be cut short from the outside.
+// SIGINT/SIGTERM drain gracefully: /readyz flips to 503, in-flight
+// requests finish (up to -drain-timeout), then the process exits 0. A
+// second signal during the drain force-closes every connection and
+// exits 3 immediately, so a stuck drain can always be cut short from the
+// outside. The lifecycle is internal/httpd's Run, shared with idemfront.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"idemproc/internal/httpd"
 	"idemproc/internal/server"
 )
 
@@ -46,10 +43,6 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	os.Exit(realMain(os.Args[1:], os.Stderr, sigs))
 }
-
-// exitHardStop distinguishes a forced shutdown (second signal while
-// draining) from a clean drain (0) and an error (1) for supervisors.
-const exitHardStop = 3
 
 // realMain is main with injectable args, log stream and signal channel
 // so tests can assert on exit codes and drain behavior.
@@ -79,6 +72,9 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	}
 
 	logf := func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
+	if *quiet {
+		logf = func(string, ...any) {}
+	}
 	if *cacheDir != "" {
 		// Fail fast on an unusable artifact directory: a daemon told to
 		// persist should not silently run memory-only. Runtime disk errors
@@ -88,7 +84,7 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 			return 1
 		}
 	}
-	cfg := server.Config{
+	srv := server.New(server.Config{
 		Workers:        *workers,
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *reqTimeout,
@@ -97,17 +93,13 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 		MaxJobs:        *maxJobs,
 		JobTTL:         *jobTTL,
 		Logf:           logf,
-	}
-	if *quiet {
-		cfg.Logf = func(string, ...any) {}
-	}
-	srv := server.New(cfg)
+	})
 	if d := srv.Cache().Disk(); d != nil {
 		// Warm-start scan: validate (and prune) what the store offers
 		// before taking traffic, so corruption surfaces at boot rather
 		// than on first request.
 		scan := d.Scan()
-		cfg.Logf("idemd: artifact store %s: %d artifacts, %d bytes, %d corrupt pruned",
+		logf("idemd: artifact store %s: %d artifacts, %d bytes, %d corrupt pruned",
 			d.Dir(), scan.Entries, scan.Bytes, scan.Corrupt)
 	}
 	// Job recovery runs after the artifact scan on purpose: resumed units
@@ -115,81 +107,12 @@ func realMain(args []string, stderr io.Writer, sigs <-chan os.Signal) int {
 	// zero recompiles on top of zero re-executed units.
 	srv.RecoverJobs()
 
-	if *pprofAddr != "" {
-		// Profiling stays off the service listener: the side mux carries
-		// only pprof, so the main port's surface is unchanged and a
-		// firewall can treat the two differently.
-		pa, closePprof, err := server.ServePprof(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "idemd: pprof: %v\n", err)
-			return 1
-		}
-		defer closePprof()
-		logf("idemd: pprof listening on http://%s/debug/pprof/", pa)
-	}
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "idemd: listen: %v\n", err)
-		return 1
-	}
-	if *addrFile != "" {
-		// Write-then-rename so a polling script never reads a partial
-		// address.
-		tmp := *addrFile + ".tmp"
-		if err := os.WriteFile(tmp, []byte(l.Addr().String()+"\n"), 0o644); err != nil {
-			fmt.Fprintf(stderr, "idemd: addr-file: %v\n", err)
-			l.Close()
-			return 1
-		}
-		if err := os.Rename(tmp, *addrFile); err != nil {
-			fmt.Fprintf(stderr, "idemd: addr-file: %v\n", err)
-			l.Close()
-			return 1
-		}
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(l) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemd: serve: %v\n", err)
-			return 1
-		}
-		return 0
-	case <-sigs:
-	}
-
-	// First signal: graceful drain in the background so a second signal
-	// can still be heard. In-flight requests run to completion (up to
-	// -drain-timeout); a second signal force-closes everything —
-	// connection teardown cancels request contexts, which preempts any
-	// running simulations within the poll budget.
-	logf("idemd: draining (timeout %s)", *drainTimeout)
-	drainDone := make(chan int, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		code := 0
-		if err := srv.Shutdown(dctx); err != nil {
-			fmt.Fprintf(stderr, "idemd: drain: %v\n", err)
-			code = 1
-		}
-		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(stderr, "idemd: serve: %v\n", err)
-			code = 1
-		}
-		drainDone <- code
-	}()
-	select {
-	case code := <-drainDone:
-		logf("idemd: stopped")
-		return code
-	case <-sigs:
-		fmt.Fprintln(stderr, "idemd: second signal during drain, forcing exit")
-		srv.Close()
-		return exitHardStop
-	}
+	return srv.Run(httpd.RunOptions{
+		Addr:         *addr,
+		AddrFile:     *addrFile,
+		PprofAddr:    *pprofAddr,
+		DrainTimeout: *drainTimeout,
+		Stderr:       stderr,
+		Signals:      sigs,
+	})
 }

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"idemproc/internal/httpd"
 	"idemproc/internal/metrics"
 )
 
@@ -20,11 +22,17 @@ import (
 // and the exit-code channel.
 func launch(t *testing.T, extra ...string) (addr string, sigs chan os.Signal, exit chan int) {
 	t.Helper()
+	return launchTo(t, io.Discard, extra...)
+}
+
+// launchTo is launch with the daemon's stderr captured.
+func launchTo(t *testing.T, stderr io.Writer, extra ...string) (addr string, sigs chan os.Signal, exit chan int) {
+	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	sigs = make(chan os.Signal, 2)
 	exit = make(chan int, 1)
 	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-quiet"}, extra...)
-	go func() { exit <- realMain(args, io.Discard, sigs) }()
+	go func() { exit <- realMain(args, stderr, sigs) }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -272,6 +280,40 @@ func TestGracefulDrainExitsZero(t *testing.T) {
 	}
 }
 
+// syncBuffer lets the test read the daemon's stderr while it writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestQuietSilencesLifecycle: under -quiet no lifecycle line reaches
+// stderr, through the drain and the exit too.
+func TestQuietSilencesLifecycle(t *testing.T) {
+	var errs syncBuffer
+	_, sigs, exit := launchTo(t, &errs)
+	sigs <- syscall.SIGTERM
+	if code := waitExit(t, exit, 15*time.Second); code != 0 {
+		t.Fatalf("drain exit = %d, want 0", code)
+	}
+	for _, line := range []string{"listening", "draining", "drained", "stopped"} {
+		if strings.Contains(errs.String(), line) {
+			t.Errorf("-quiet stderr has a %q line:\n%s", line, errs.String())
+		}
+	}
+}
+
 // TestSecondSignalForcesHardExit: a long simulation holds the drain
 // open; the second SIGTERM must cut it short with the distinct hard-
 // exit code instead of waiting out the drain timeout.
@@ -320,8 +362,8 @@ func TestSecondSignalForcesHardExit(t *testing.T) {
 	// open); the second must force the hard exit immediately.
 	sigs <- syscall.SIGTERM
 	sigs <- syscall.SIGTERM
-	if code := waitExit(t, exit, 20*time.Second); code != exitHardStop {
-		t.Fatalf("hard exit code = %d, want %d", code, exitHardStop)
+	if code := waitExit(t, exit, 20*time.Second); code != httpd.ExitHardStop {
+		t.Fatalf("hard exit code = %d, want %d", code, httpd.ExitHardStop)
 	}
 	// The abandoned request observes a transport error, not a response.
 	if err := <-reqErr; err == nil {

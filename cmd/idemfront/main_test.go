@@ -151,6 +151,23 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
+// TestQuietSilencesLifecycle: under -quiet no lifecycle line reaches
+// stderr, through the drain and the exit too.
+func TestQuietSilencesLifecycle(t *testing.T) {
+	b1 := startReplica(t)
+	var errs syncBuffer
+	_, sigs, exit := launch(t, &errs, "-backends", b1)
+	sigs <- syscall.SIGTERM
+	if code := waitExit(t, exit, 10*time.Second); code != 0 {
+		t.Fatalf("drain exit code %d, want 0", code)
+	}
+	for _, line := range []string{"listening", "draining", "drained", "stopped"} {
+		if strings.Contains(errs.String(), line) {
+			t.Errorf("-quiet stderr has a %q line:\n%s", line, errs.String())
+		}
+	}
+}
+
 // TestPprofSideListener: -pprof-addr exposes /debug/pprof/ on its own
 // port, leaving the service listener's surface unchanged.
 func TestPprofSideListener(t *testing.T) {

@@ -340,6 +340,27 @@ func TestStatsAccountedOnReturn(t *testing.T) {
 	}
 }
 
+// TestCompileTimeExcludesVerify: the compile ledger charges only the
+// compiler, so compile plus validator time fits inside the wall time of
+// the one cold Compile that paid for both.
+func TestCompileTimeExcludesVerify(t *testing.T) {
+	c := New()
+	mo := codegen.ModuleOptions{Idempotent: true, Core: core.DefaultOptions()}
+	start := time.Now()
+	if _, _, err := c.Compile(context.Background(), testWorkload(t), mo); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	st := c.Stats()
+	if st.VerifyChecked != 1 {
+		t.Fatalf("%d validator runs, want 1", st.VerifyChecked)
+	}
+	if sum := st.CompileTime + time.Duration(st.VerifyNanos); sum > wall {
+		t.Fatalf("compile %v + verify %v = %v exceeds the call's wall time %v: verify counted twice",
+			st.CompileTime, time.Duration(st.VerifyNanos), sum, wall)
+	}
+}
+
 // TestBoundedEviction drives distinct configurations through a cache
 // whose byte bound fits roughly one program and asserts LRU eviction:
 // evictions observed, occupancy bounded, evicted keys recompile (miss)

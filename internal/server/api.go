@@ -11,13 +11,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"net/http"
 	"sort"
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/codegen"
 	"idemproc/internal/core"
 	"idemproc/internal/fault"
+	"idemproc/internal/httpd"
 	"idemproc/internal/lang"
 	"idemproc/internal/machine"
 	"idemproc/internal/workloads"
@@ -33,18 +33,6 @@ const (
 	defaultMemWords = 65536
 	maxInjections   = 16
 )
-
-// httpError is a handler-level failure with an HTTP status.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) *httpError {
-	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
 
 // ---------------------------------------------------------------------
 // Options.
@@ -134,20 +122,20 @@ func SourceWorkload(source string, memWords int, args []uint64) (workloads.Workl
 
 // resolveWorkload turns (workload|source, mem_words, args) into a
 // concrete workload, enforcing the request bounds.
-func resolveWorkload(name, source string, memWords int, args []uint64) (workloads.Workload, *httpError) {
+func resolveWorkload(name, source string, memWords int, args []uint64) (workloads.Workload, *httpd.Error) {
 	if len(args) > maxArgs {
-		return workloads.Workload{}, badRequest("at most %d args", maxArgs)
+		return workloads.Workload{}, httpd.BadRequest("at most %d args", maxArgs)
 	}
 	if memWords != 0 && (memWords < minMemWords || memWords > maxMemWords) {
-		return workloads.Workload{}, badRequest("mem_words must be in [%d, %d]", minMemWords, maxMemWords)
+		return workloads.Workload{}, httpd.BadRequest("mem_words must be in [%d, %d]", minMemWords, maxMemWords)
 	}
 	switch {
 	case name != "" && source != "":
-		return workloads.Workload{}, badRequest("workload and source are mutually exclusive")
+		return workloads.Workload{}, httpd.BadRequest("workload and source are mutually exclusive")
 	case name != "":
 		w, ok := workloads.ByName(name)
 		if !ok {
-			return workloads.Workload{}, badRequest("unknown workload %q", name)
+			return workloads.Workload{}, httpd.BadRequest("unknown workload %q", name)
 		}
 		if memWords != 0 {
 			w.MemWords = memWords
@@ -159,11 +147,11 @@ func resolveWorkload(name, source string, memWords int, args []uint64) (workload
 	case source != "":
 		w, err := SourceWorkload(source, memWords, args)
 		if err != nil {
-			return workloads.Workload{}, badRequest("%v", err)
+			return workloads.Workload{}, httpd.BadRequest("%v", err)
 		}
 		return w, nil
 	default:
-		return workloads.Workload{}, badRequest("one of workload or source is required")
+		return workloads.Workload{}, httpd.BadRequest("one of workload or source is required")
 	}
 }
 
@@ -342,13 +330,13 @@ type InjectionSpec struct {
 }
 
 // parse resolves the model name and bounds-checks the placement.
-func (i InjectionSpec) parse() (fault.Injection, *httpError) {
+func (i InjectionSpec) parse() (fault.Injection, *httpd.Error) {
 	ms, err := fault.ParseModels(i.Model)
 	if err != nil || len(ms) != 1 {
-		return fault.Injection{}, badRequest("injection model %q: must name exactly one model", i.Model)
+		return fault.Injection{}, httpd.BadRequest("injection model %q: must name exactly one model", i.Model)
 	}
 	if i.Step < 0 || i.After < 0 {
-		return fault.Injection{}, badRequest("injection step/after must be >= 0")
+		return fault.Injection{}, httpd.BadRequest("injection step/after must be >= 0")
 	}
 	return fault.Injection{
 		Model: ms[0], Step: i.Step, Mask: i.Mask,
@@ -398,7 +386,7 @@ type SimulateReport struct {
 
 // schemeSetup maps a scheme name to its instrumentation and machine
 // configuration (mirrors cmd/idemsim).
-func schemeSetup(name string) (fault.Scheme, bool, machine.Config, *httpError) {
+func schemeSetup(name string) (fault.Scheme, bool, machine.Config, *httpd.Error) {
 	var cfg machine.Config
 	switch name {
 	case "", "none":
@@ -416,7 +404,7 @@ func schemeSetup(name string) (fault.Scheme, bool, machine.Config, *httpError) {
 		cfg.BufferStores = true
 		return fault.SchemeIdempotence, true, cfg, nil
 	default:
-		return 0, false, cfg, badRequest("unknown scheme %q (none, dmr, tmr, cl, idem)", name)
+		return 0, false, cfg, httpd.BadRequest("unknown scheme %q (none, dmr, tmr, cl, idem)", name)
 	}
 }
 

@@ -1,20 +1,17 @@
-// Async job endpoints: POST /v1/jobs submits a batch and returns a
-// handle immediately; GET /v1/jobs/{id}?cursor=N long-polls for results
-// past the cursor; GET /v1/jobs/{id}/stream pushes them as NDJSON in
-// strict index order; DELETE /v1/jobs/{id} cancels. Units run through
-// runUnit, the executor whose bytes /v1/batch joins into its response,
-// so `{"results":[` + join(stream lines, ",") + `]}` + "\n" reconstructs
-// the batch response for the same body byte for byte. See docs/jobs.md.
+// Async job submission: POST /v1/jobs admits a batch exactly like
+// /v1/batch and returns a handle immediately; the skeleton
+// (internal/httpd) serves the poll, stream and cancel endpoints over the
+// same job table. Units run through runUnit, the executor whose bytes
+// /v1/batch joins into its response, so `{"results":[` + join(stream
+// lines, ",") + `]}` + "\n" reconstructs the batch response for the same
+// body byte for byte. See docs/jobs.md.
 package server
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
+	"idemproc/internal/httpd"
 	"idemproc/internal/jobs"
 )
 
@@ -22,12 +19,6 @@ import (
 type SubmitResponse struct {
 	ID    string `json:"id"`
 	Units int    `json:"units"`
-	State string `json:"state"`
-}
-
-// CancelResponse is the DELETE /v1/jobs/{id} body.
-type CancelResponse struct {
-	ID    string `json:"id"`
 	State string `json:"state"`
 }
 
@@ -42,102 +33,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Submit(body, units)
 	if err != nil {
 		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfterHint)))
-			writeError(w, http.StatusTooManyRequests, err.Error())
+			httpd.WriteShed(w, err.Error())
 			return
 		}
 		writeHTTPErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{ID: j.ID(), Units: j.Units(), State: j.State().String()})
-}
-
-// jobFromRequest resolves {id} or writes the canonical 404.
-func (s *Server) jobFromRequest(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
-	id := r.PathValue("id")
-	j, ok := s.jobs.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-	}
-	return j, ok
-}
-
-// parseCursor validates ?cursor=N against [0, units].
-func parseCursor(r *http.Request, units int) (int, *httpError) {
-	q := r.URL.Query().Get("cursor")
-	if q == "" {
-		return 0, nil
-	}
-	c, err := strconv.Atoi(q)
-	if err != nil || c < 0 || c > units {
-		return 0, badRequest("cursor must be an integer in [0, %d]", units)
-	}
-	return c, nil
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFromRequest(w, r)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodDelete {
-		j, _ = s.jobs.Cancel(j.ID())
-		writeJSON(w, http.StatusOK, CancelResponse{ID: j.ID(), State: j.State().String()})
-		return
-	}
-
-	cursor, he := parseCursor(r, j.Units())
-	if he != nil {
-		writeHTTPErr(w, he)
-		return
-	}
-	var wait time.Duration
-	if q := r.URL.Query().Get("wait"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 {
-			writeHTTPErr(w, badRequest("wait must be a non-negative duration in milliseconds"))
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > s.cfg.JobPollMax {
-			wait = s.cfg.JobPollMax
-		}
-	}
-	rep := j.Poll(r.Context(), cursor, wait)
-	if n := len(rep.Results); n > 0 {
-		s.metrics.ObserveChunk("poll", n)
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobFromRequest(w, r)
-	if !ok {
-		return
-	}
-	cursor, he := parseCursor(r, j.Units())
-	if he != nil {
-		writeHTTPErr(w, he)
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	// From here the status is committed; a broken stream is signaled by
-	// the connection, and the client resumes with ?cursor=.
-	_, _ = j.Stream(r.Context(), cursor, func(chunk [][]byte) error {
-		var buf bytes.Buffer
-		for _, line := range chunk {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		s.metrics.ObserveChunk("stream", len(chunk))
-		return nil
-	})
+	httpd.WriteJSON(w, http.StatusOK, SubmitResponse{ID: j.ID(), Units: j.Units(), State: j.State().String()})
 }

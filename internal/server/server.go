@@ -10,10 +10,11 @@
 // Request coalescing and artifact caching come from the shared
 // buildcache: concurrent requests for the same (workload, options) key
 // singleflight onto one compile, and the byte-bounded LRU keeps the
-// daemon's footprint flat over an open-ended request stream. The
-// middleware stack enforces per-request deadlines, sheds load with 429
-// beyond a concurrency limit, and drains gracefully on SIGTERM (readyz
-// flips to 503, in-flight requests complete, new connections stop).
+// daemon's footprint flat over an open-ended request stream. The request
+// skeleton (internal/httpd, shared with the front tier) enforces
+// per-request deadlines, sheds load with 429 beyond a concurrency limit,
+// and drains gracefully on SIGTERM (readyz flips to 503, in-flight
+// requests complete, new connections stop).
 //
 // See docs/service.md for the API and metrics catalog.
 package server
@@ -24,17 +25,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"idemproc/internal/buildcache"
 	"idemproc/internal/experiments"
 	"idemproc/internal/fault"
+	"idemproc/internal/httpd"
 	"idemproc/internal/jobs"
 	"idemproc/internal/machine"
 )
@@ -63,7 +60,8 @@ type Config struct {
 	//
 	// Deprecated: perfbench is the only user of this field.
 	VerifyMode buildcache.VerifyMode
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
+	// MaxBodyBytes bounds request bodies (default
+	// httpd.DefaultMaxBodyBytes, 8 MiB).
 	MaxBodyBytes int64
 	// MaxBatchUnits bounds /v1/batch fan-out (default 256).
 	MaxBatchUnits int
@@ -81,12 +79,6 @@ type Config struct {
 	// JobTTL is how long a finished job stays queryable before reaping
 	// (default 10m).
 	JobTTL time.Duration
-	// JobPollMax caps the long-poll wait a GET /v1/jobs/{id} request may
-	// ask for (default 25s — under common LB idle timeouts).
-	JobPollMax time.Duration
-	// RetryAfterHint is the Retry-After value attached to 429 sheds
-	// (default 1s) so clients back off precisely instead of guessing.
-	RetryAfterHint time.Duration
 	// Logf, when set, receives one line per lifecycle event (listen,
 	// drain, shutdown). Per-request logging is intentionally absent —
 	// /metrics is the observation surface.
@@ -100,9 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.MaxBatchUnits <= 0 {
 		c.MaxBatchUnits = 256
 	}
@@ -112,31 +101,23 @@ func (c Config) withDefaults() Config {
 	if c.PreemptEvery <= 0 {
 		c.PreemptEvery = 4096
 	}
-	if c.JobPollMax <= 0 {
-		c.JobPollMax = 25 * time.Second
-	}
-	if c.RetryAfterHint <= 0 {
-		c.RetryAfterHint = time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
 
-// Server is the idemd service core. Create with New; serve either via
-// Handler (for embedding/tests) or Serve+Shutdown (for the daemon).
+// Server is the idemd service core. Create with New; serve via Handler
+// (embedding, tests), Serve+Shutdown, or Run (the daemon process). The
+// embedded skeleton carries the preamble, health, job reads and
+// lifecycle (internal/httpd).
 type Server struct {
+	*httpd.Server
 	cfg     Config
 	cache   *buildcache.Cache
 	engine  *experiments.Engine
 	metrics *Metrics
 	jobs    *jobs.Manager
-	mux     *http.ServeMux
-	sem     chan struct{}
-
-	draining atomic.Bool
-	httpSrv  *http.Server
 }
 
 // New builds a server with its own bounded compile cache, batch engine
@@ -152,8 +133,6 @@ func New(cfg Config) *Server {
 		cache:   cache,
 		engine:  experiments.NewEngineWithCache(cfg.Workers, cache),
 		metrics: NewMetrics(),
-		mux:     http.NewServeMux(),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.jobs = jobs.NewManager(jobs.Config{
 		Dir:     cfg.CacheDir,
@@ -161,25 +140,28 @@ func New(cfg Config) *Server {
 		TTL:     cfg.JobTTL,
 		Logf:    cfg.Logf,
 	}, s.engine, s.runUnit)
-	get, post := []string{http.MethodGet}, []string{http.MethodPost}
-	s.mux.Handle("/healthz", s.instrument("/healthz", get, false, s.handleHealthz))
-	s.mux.Handle("/readyz", s.instrument("/readyz", get, false, s.handleReadyz))
-	s.mux.Handle("/metrics", s.instrument("/metrics", get, false, s.handleMetrics))
-	s.mux.Handle("/v1/compile", s.instrument("/v1/compile", post, true, s.handleCompile))
-	s.mux.Handle("/v1/simulate", s.instrument("/v1/simulate", post, true, s.handleSimulate))
-	s.mux.Handle("/v1/batch", s.instrument("/v1/batch", post, true, s.handleBatch))
+	s.Server = httpd.New(httpd.Config{
+		Name:           "idemd",
+		Metrics:        s.metrics,
+		Jobs:           s.jobs,
+		ObserveChunk:   s.metrics.ObserveChunk,
+		MaxInFlight:    cfg.MaxInFlight,
+		Shed:           s.metrics.Shed,
+		RequestTimeout: cfg.RequestTimeout,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		Drained:        s.flushArtifacts,
+		Logf:           cfg.Logf,
+	})
+	s.Get("/metrics", s.handleMetrics)
+	s.Post("/v1/compile", s.handleCompile)
+	s.Post("/v1/simulate", s.handleSimulate)
+	s.Post("/v1/batch", s.handleBatch)
 	// Job submission holds a semaphore slot only for the submit itself;
-	// poll/stream/cancel are cheap waits and stay unlimited so a full
+	// the skeleton's poll/stream/cancel routes stay unlimited so a full
 	// semaphore cannot block reading results (which is what frees work).
-	s.mux.Handle("/v1/jobs", s.instrument("/v1/jobs", post, true, s.handleJobSubmit))
-	s.mux.Handle("/v1/jobs/{id}", s.instrument("/v1/jobs/{id}",
-		[]string{http.MethodGet, http.MethodDelete}, false, s.handleJob))
-	s.mux.Handle("/v1/jobs/{id}/stream", s.instrument("/v1/jobs/{id}/stream", get, false, s.handleJobStream))
+	s.Post("/v1/jobs", s.handleJobSubmit)
 	return s
 }
-
-// Handler returns the fully instrumented HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // Cache exposes the compile cache (cmd/idemd logs its stats on exit;
 // tests assert on it).
@@ -203,172 +185,15 @@ func (s *Server) RecoverJobs() jobs.RecoverStats {
 	return rs
 }
 
-// Serve accepts connections on l until Shutdown. It returns
-// http.ErrServerClosed after a clean drain, like net/http.
-func (s *Server) Serve(l net.Listener) error {
-	s.httpSrv = &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.cfg.Logf("idemd: listening on %s", l.Addr())
-	return s.httpSrv.Serve(l)
-}
-
-// Shutdown drains the server: readiness flips to 503 immediately (so
-// load balancers stop routing), in-flight requests run to completion,
-// and Serve returns once the listener is closed and connections idle.
-// No request is dropped silently — everything admitted before Shutdown
-// gets its response.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.cfg.Logf("idemd: draining (readyz -> 503)")
-	// Stop the job subsystem first: runners park (journals stay on disk
-	// for the next boot to resume) and blocked pollers/streamers wake,
-	// so their connections can drain instead of holding Shutdown until
-	// their long-poll deadlines.
-	s.jobs.Stop()
-	var err error
-	if s.httpSrv != nil {
-		err = s.httpSrv.Shutdown(ctx)
-	}
-	if jerr := s.jobs.Close(ctx); jerr != nil && err == nil {
-		err = jerr
-	}
-	// Let builds still compiling and their write-behind land before
-	// exit, so a restart finds everything the drained process compiled.
-	if cerr := s.cache.Close(ctx); cerr != nil {
-		s.cfg.Logf("idemd: artifact flush aborted: %v", cerr)
+// flushArtifacts ends a drain: builds still compiling and their
+// write-behind land before exit, so a restart finds everything the
+// drained process compiled.
+func (s *Server) flushArtifacts(ctx context.Context) {
+	if err := s.cache.Close(ctx); err != nil {
+		s.cfg.Logf("idemd: artifact flush aborted: %v", err)
 	} else if s.cache.Disk() != nil {
 		s.cfg.Logf("idemd: artifact store flushed")
 	}
-	s.cfg.Logf("idemd: drained")
-	return err
-}
-
-// Close force-closes the listener and every active connection — the
-// hard-exit path a second SIGTERM during a stuck drain takes. In-flight
-// requests are abandoned; their contexts are canceled by the connection
-// teardown, which preempts any running simulations within the poll
-// budget.
-func (s *Server) Close() error {
-	s.draining.Store(true)
-	s.jobs.Stop()
-	if s.httpSrv == nil {
-		return nil
-	}
-	return s.httpSrv.Close()
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// ---------------------------------------------------------------------
-// Middleware.
-
-// statusRecorder captures the response code for metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// Flush forwards to the underlying writer so the NDJSON stream handler
-// can push each chunk through the recorder.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with method filtering, the in-flight gauge,
-// the concurrency limiter (limited endpoints shed with 429 instead of
-// queueing — the client can retry against another replica; queued work
-// would just grow latency unboundedly), the per-request deadline, and
-// latency/status accounting. The path label is the route pattern, so
-// wildcard routes like /v1/jobs/{id} stay one metric series.
-func (s *Server) instrument(path string, methods []string, limited bool, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	allow := strings.Join(methods, ", ")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		done := s.metrics.InFlight()
-		defer func() {
-			done()
-			s.metrics.Observe(path, rec.code, time.Since(start))
-		}()
-
-		allowed := false
-		for _, m := range methods {
-			if r.Method == m {
-				allowed = true
-				break
-			}
-		}
-		if !allowed {
-			rec.Header().Set("Allow", allow)
-			writeError(rec, http.StatusMethodNotAllowed, fmt.Sprintf("method %s not allowed", r.Method))
-			return
-		}
-		if limited {
-			select {
-			case s.sem <- struct{}{}:
-				defer func() { <-s.sem }()
-			default:
-				s.metrics.Shed()
-				// Retry-After turns the shed from a guess into a schedule:
-				// resilience clients honor it verbatim instead of probing
-				// with their own backoff curve.
-				rec.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfterHint)))
-				writeError(rec, http.StatusTooManyRequests, "server at concurrency limit, retry later")
-				return
-			}
-			if s.cfg.RequestTimeout > 0 {
-				ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-				defer cancel()
-				r = r.WithContext(ctx)
-			}
-		}
-		h(rec, r)
-	})
-}
-
-// retryAfterSeconds renders a hint as whole seconds, minimum 1 (the
-// header's granularity; 0 would mean "retry immediately", defeating the
-// point).
-func retryAfterSeconds(d time.Duration) int {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
-}
-
-// writeJSON marshals v with a trailing newline. Marshaling fixed structs
-// is deterministic, which is what makes response bodies byte-identical
-// across runs and replicas.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "response encoding failed")
-		return
-	}
-	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(b)
-}
-
-// errorBody is the uniform error response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, errorBody{Error: msg})
 }
 
 // writeHTTPErr maps internal errors onto responses: validation errors
@@ -376,66 +201,38 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // not served; a draining or overloaded replica tells the client to go
 // elsewhere), anything else is a 422 pipeline failure.
 func writeHTTPErr(w http.ResponseWriter, err error) {
-	var he *httpError
+	var he *httpd.Error
 	switch {
 	case errors.As(err, &he):
-		writeError(w, he.status, he.msg)
+		httpd.WriteError(w, he.Status, he.Msg)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, fmt.Sprintf("request abandoned: %v", err))
+		httpd.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("request abandoned: %v", err))
 	default:
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		httpd.WriteError(w, http.StatusUnprocessableEntity, err.Error())
 	}
 }
 
 // decodeJSON reads the request body (413 beyond MaxBodyBytes) and
-// strictly parses it into v: unknown fields and trailing data are
-// rejected. It returns the raw body for callers that keep it.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, *httpError) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("body exceeds %d bytes", s.cfg.MaxBodyBytes)}
-		}
-		return nil, badRequest("reading body: %v", err)
+// strictly parses it into v. It returns the raw body for callers that
+// keep it.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) ([]byte, *httpd.Error) {
+	body, he := s.ReadBody(w, r)
+	if he != nil {
+		return nil, he
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return nil, badRequest("invalid JSON body: %v", err)
-	}
-	if dec.More() {
-		return nil, badRequest("trailing data after JSON body")
+	if he := httpd.Decode(body, v); he != nil {
+		return nil, he
 	}
 	return body, nil
 }
 
 // ---------------------------------------------------------------------
-// Health, readiness, metrics.
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.draining.Load() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
+// Metrics and the /v1 handlers.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, s.metrics.Render(s.cache.Stats(), s.jobs.Stats()))
 }
-
-// ---------------------------------------------------------------------
-// /v1 handlers.
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req CompileRequest
@@ -448,7 +245,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		writeHTTPErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	httpd.WriteJSON(w, http.StatusOK, rep)
 }
 
 // doCompile validates, builds (through the coalescing cache) and renders
@@ -479,7 +276,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeHTTPErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	httpd.WriteJSON(w, http.StatusOK, rep)
 }
 
 // doSimulate validates, builds the scheme's binary, arms any injections
@@ -494,10 +291,10 @@ func (s *Server) doSimulate(ctx context.Context, req *SimulateRequest) (*Simulat
 		return nil, he
 	}
 	if req.Options != nil && req.Options.Idempotent != nil {
-		return nil, badRequest("options.idempotent is implied by the scheme; do not set it")
+		return nil, httpd.BadRequest("options.idempotent is implied by the scheme; do not set it")
 	}
 	if len(req.Injections) > maxInjections {
-		return nil, badRequest("at most %d injections", maxInjections)
+		return nil, httpd.BadRequest("at most %d injections", maxInjections)
 	}
 	injs := make([]fault.Injection, 0, len(req.Injections))
 	for _, is := range req.Injections {
@@ -590,7 +387,7 @@ func schemeName(s string) string {
 // checks the unit count and that each unit names exactly one of compile
 // or simulate, and splits out each unit's raw bytes for runUnit. The
 // raw body is returned too: it is the job journal's payload.
-func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request) ([]byte, []json.RawMessage, *httpError) {
+func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request) ([]byte, []json.RawMessage, *httpd.Error) {
 	var req BatchRequest
 	body, he := s.decodeJSON(w, r, &req)
 	if he != nil {
@@ -598,21 +395,21 @@ func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request) ([]byte, []j
 	}
 	n := len(req.Units)
 	if n == 0 {
-		return nil, nil, badRequest("batch has no units")
+		return nil, nil, httpd.BadRequest("batch has no units")
 	}
 	if n > s.cfg.MaxBatchUnits {
-		return nil, nil, badRequest("batch exceeds %d units", s.cfg.MaxBatchUnits)
+		return nil, nil, httpd.BadRequest("batch exceeds %d units", s.cfg.MaxBatchUnits)
 	}
 	for i, u := range req.Units {
 		if (u.Compile == nil) == (u.Simulate == nil) {
-			return nil, nil, badRequest("unit %d: exactly one of compile or simulate is required", i)
+			return nil, nil, httpd.BadRequest("unit %d: exactly one of compile or simulate is required", i)
 		}
 	}
 	var raw struct {
 		Units []json.RawMessage `json:"units"`
 	}
 	if err := json.Unmarshal(body, &raw); err != nil || len(raw.Units) != n {
-		return nil, nil, badRequest("invalid JSON body")
+		return nil, nil, httpd.BadRequest("invalid JSON body")
 	}
 	return body, raw.Units, nil
 }
@@ -671,7 +468,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	b.WriteString(`{"results":[`)
 	b.Write(bytes.Join(results, []byte{','}))
 	b.WriteString("]}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b.Bytes())
+	httpd.Write(w, http.StatusOK, b.Bytes())
 }

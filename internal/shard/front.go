@@ -10,11 +10,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -22,6 +20,7 @@ import (
 	"time"
 
 	"idemproc/internal/buildcache"
+	"idemproc/internal/httpd"
 	"idemproc/internal/jobs"
 	"idemproc/internal/metrics"
 	"idemproc/internal/resilience"
@@ -35,15 +34,10 @@ type Config struct {
 	Backends []string
 	// HealthInterval is the /readyz poll period (default 250ms).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one readiness probe (default 2s).
-	HealthTimeout time.Duration
 	// RequestTimeout is the per-request deadline at the front (default
 	// 60s — above the replica default so a replica-side 503 surfaces
 	// before the front gives up; <0 disables).
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 8 MiB, matching the
-	// replica default so oversize rejections read identically).
-	MaxBodyBytes int64
 	// MaxBatchUnits bounds the batches the front will split (default
 	// 256, the replica default). Larger batches are forwarded unsplit
 	// and rejected canonically by a replica.
@@ -62,8 +56,6 @@ type Config struct {
 	// JobTTL is how long a terminal front job stays queryable (default
 	// 10m, matching the replica default).
 	JobTTL time.Duration
-	// JobPollMax caps one GET /v1/jobs/{id} long-poll (default 25s).
-	JobPollMax time.Duration
 	// Seed drives the deterministic retry-jitter streams.
 	Seed uint64
 	// Logf receives lifecycle and rebalance lines (default: discard).
@@ -74,14 +66,8 @@ func (c Config) withDefaults() Config {
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.MaxBatchUnits <= 0 {
 		c.MaxBatchUnits = 256
@@ -95,14 +81,15 @@ func (c Config) withDefaults() Config {
 	if c.BreakerThreshold < 0 {
 		c.BreakerThreshold = 0
 	}
-	if c.JobPollMax <= 0 {
-		c.JobPollMax = 25 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
+
+// probeTimeout bounds one outbound request the front makes on its own
+// behalf: a readiness probe, a metrics scrape or a sub-job cancel.
+const probeTimeout = 2 * time.Second
 
 // backend is one replica as the router sees it: its address, its
 // resilience client (retry/breaker state is per-backend) and the
@@ -115,20 +102,19 @@ type backend struct {
 }
 
 // Front is the sharded front tier. Create with New; serve via Handler
-// (embedding/tests) or Serve+Shutdown (the daemon). New starts the
-// health-check loop — call Shutdown or Close even when only Handler is
-// used, or the loop leaks.
+// (embedding, tests), Serve+Shutdown, or Run (the daemon process). New
+// starts the health-check loop — call Shutdown or Close even when only
+// Handler is used, or the loop leaks. The embedded skeleton carries the
+// preamble, health, job reads and lifecycle (internal/httpd).
 type Front struct {
+	*httpd.Server
 	cfg      Config
 	ring     *Ring
 	backends map[string]*backend
 	client   *http.Client
 	metrics  *Metrics
-	mux      *http.ServeMux
 	jobs     *jobs.Manager
 
-	draining atomic.Bool
-	httpSrv  *http.Server
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
@@ -153,7 +139,6 @@ func New(cfg Config) (*Front, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 		metrics: NewMetrics(),
-		mux:     http.NewServeMux(),
 		stop:    make(chan struct{}),
 	}
 	// The front's job table tracks externally fed jobs only (no engine,
@@ -176,23 +161,25 @@ func New(cfg Config) (*Front, error) {
 		b.healthy.Store(true)
 		f.backends[id] = b
 	}
-	f.mux.HandleFunc("/healthz", f.handleHealthz)
-	f.mux.HandleFunc("/readyz", f.handleReadyz)
-	f.mux.HandleFunc("/metrics", f.handleMetrics)
-	f.mux.HandleFunc("/v1/compile", f.proxySingle("/v1/compile"))
-	f.mux.HandleFunc("/v1/simulate", f.proxySingle("/v1/simulate"))
-	f.mux.HandleFunc("/v1/batch", f.handleBatch)
-	f.mux.HandleFunc("/v1/jobs", f.handleJobSubmit)
-	f.mux.HandleFunc("/v1/jobs/{id}", f.handleJob)
-	f.mux.HandleFunc("/v1/jobs/{id}/stream", f.handleJobStream)
+	f.Server = httpd.New(httpd.Config{
+		Name:           "idemfront",
+		Metrics:        f.metrics,
+		Jobs:           f.jobs,
+		RequestTimeout: cfg.RequestTimeout,
+		NotReady:       f.notReady,
+		Join:           f.join,
+		Logf:           cfg.Logf,
+	})
+	f.Get("/metrics", f.handleMetrics)
+	f.Post("/v1/compile", f.proxySingle("/v1/compile"))
+	f.Post("/v1/simulate", f.proxySingle("/v1/simulate"))
+	f.Post("/v1/batch", f.handleBatch)
+	f.Post("/v1/jobs", f.handleJobSubmit)
 
 	f.wg.Add(1)
 	go f.healthLoop()
 	return f, nil
 }
-
-// Handler returns the front's HTTP handler.
-func (f *Front) Handler() http.Handler { return f.mux }
 
 // Metrics exposes the fleet metric registry (tests assert on it).
 func (f *Front) Metrics() *Metrics { return f.metrics }
@@ -203,51 +190,13 @@ func (f *Front) Ring() *Ring { return f.ring }
 // Jobs exposes the front-side job manager (tests assert on its stats).
 func (f *Front) Jobs() *jobs.Manager { return f.jobs }
 
-// Serve accepts connections on l until Shutdown; returns
-// http.ErrServerClosed after a clean drain.
-func (f *Front) Serve(l net.Listener) error {
-	f.httpSrv = &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
-	f.cfg.Logf("idemfront: listening on %s, %d backends", l.Addr(), f.ring.Size())
-	return f.httpSrv.Serve(l)
-}
-
-// Shutdown drains the front: readiness flips to 503, in-flight
-// requests complete, the health loop stops.
-func (f *Front) Shutdown(ctx context.Context) error {
-	f.draining.Store(true)
+// join stops the health loop and joins it and every job merger. The
+// skeleton runs it after the job table has stopped, which cancels the
+// mergers (each best-effort cancels its replica sub-job).
+func (f *Front) join() {
 	f.stopOnce.Do(func() { close(f.stop) })
-	f.cfg.Logf("idemfront: draining (readyz -> 503)")
-	// Stopping the job manager cancels every merger (each best-effort
-	// cancels its replica sub-job) and wakes parked pollers/streamers so
-	// their in-flight requests can complete inside the drain window.
-	f.jobs.Stop()
-	var err error
-	if f.httpSrv != nil {
-		err = f.httpSrv.Shutdown(ctx)
-	}
-	if jerr := f.jobs.Close(ctx); jerr != nil && err == nil {
-		err = jerr
-	}
 	f.wg.Wait()
-	f.cfg.Logf("idemfront: drained")
-	return err
 }
-
-// Close force-closes the listener, connections and health loop.
-func (f *Front) Close() error {
-	f.draining.Store(true)
-	f.stopOnce.Do(func() { close(f.stop) })
-	f.jobs.Stop()
-	var err error
-	if f.httpSrv != nil {
-		err = f.httpSrv.Close()
-	}
-	f.wg.Wait()
-	return err
-}
-
-// Draining reports whether Shutdown has begun.
-func (f *Front) Draining() bool { return f.draining.Load() }
 
 // ---------------------------------------------------------------------
 // Health.
@@ -277,19 +226,8 @@ func (f *Front) sweep() {
 }
 
 func (f *Front) probe(b *backend) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	status, _, err := f.detached(http.MethodGet, b.base+"/readyz")
+	return err == nil && status == http.StatusOK
 }
 
 // setHealth records a health transition: the ring generation advances
@@ -332,27 +270,17 @@ func (f *Front) HealthyNow() int {
 	return n
 }
 
+// notReady is the front's /readyz reason beyond draining: a front with
+// no healthy backend cannot serve anything.
+func (f *Front) notReady() string {
+	if f.HealthyNow() == 0 {
+		return "no healthy backends"
+	}
+	return ""
+}
+
 // ---------------------------------------------------------------------
 // Plumbing shared by the handlers.
-
-func (f *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case f.draining.Load():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-	case f.HealthyNow() == 0:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "no healthy backends")
-	default:
-		fmt.Fprintln(w, "ready")
-	}
-}
 
 func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -360,7 +288,7 @@ func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 // verifyTotals sums the idemd_verify_* counters across healthy backends
-// by scraping their /metrics concurrently (bounded by HealthTimeout, the
+// by scraping their /metrics concurrently (bounded by probeTimeout, the
 // same budget as a readiness probe). Replicas own verification — the
 // front only aggregates — so a backend whose page fails to arrive, fails
 // to parse or lacks any of the three counters contributes nothing this
@@ -379,24 +307,11 @@ func (f *Front) verifyTotals() VerifyTotals {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/metrics", nil)
-			if err != nil {
+			status, body, err := f.detached(http.MethodGet, b.base+"/metrics")
+			if err != nil || status != http.StatusOK {
 				return
 			}
-			resp, err := f.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer func() {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			page, err := metrics.Parse(resp.Body)
+			page, err := metrics.Parse(bytes.NewReader(body))
 			if err != nil {
 				return
 			}
@@ -420,75 +335,34 @@ func (f *Front) verifyTotals() VerifyTotals {
 	return vt
 }
 
-// respond writes one front-level response and records it.
-func (f *Front) respond(w http.ResponseWriter, path string, code int, body []byte) {
-	f.metrics.ObservePath(path, code)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
-func (f *Front) respondError(w http.ResponseWriter, path string, code int, msg string) {
-	b, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	f.respond(w, path, code, append(b, '\n'))
-}
-
-// admit performs the front-level request preamble shared by all /v1
-// paths: method filter (same 405 body a replica writes) and a bounded
-// body read (same 413 text, same default bound). It returns ok=false
-// after writing the response itself.
-func (f *Front) admit(w http.ResponseWriter, r *http.Request, path string) (body []byte, done func(), ctx context.Context, ok bool) {
-	fin := f.metrics.InFlight()
-	if r.Method != http.MethodPost {
-		defer fin()
-		w.Header().Set("Allow", http.MethodPost)
-		f.respondError(w, path, http.StatusMethodNotAllowed, fmt.Sprintf("method %s not allowed", r.Method))
-		return nil, nil, nil, false
-	}
-	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
-	if err != nil {
-		defer fin()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			f.respondError(w, path, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", f.cfg.MaxBodyBytes))
-		} else {
-			f.respondError(w, path, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
-		}
-		return nil, nil, nil, false
-	}
-	ctx = r.Context()
-	cancel := func() {}
-	if f.cfg.RequestTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
-	}
-	return b, func() { cancel(); fin() }, ctx, true
-}
-
 // ---------------------------------------------------------------------
 // Single-key proxying (/v1/compile, /v1/simulate).
 
 func (f *Front) proxySingle(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, done, ctx, ok := f.admit(w, r, path)
-		if !ok {
+		body, he := f.ReadBody(w, r)
+		if he != nil {
+			httpd.WriteError(w, he.Status, he.Msg)
 			return
 		}
-		defer done()
 		key, parsed := routeKeyFor(path, body)
 		if !parsed {
 			f.metrics.RawRouted()
 		}
-		status, resp, err := f.route(ctx, path, body, key)
-		if err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
-				fmt.Sprintf("no replica served the request: %v", err))
-			return
-		}
-		f.respond(w, path, status, resp)
+		f.forward(r.Context(), w, path, body, key)
 	}
+}
+
+// forward routes body by key and relays the replica's answer, or a 503
+// when no replica served it.
+func (f *Front) forward(ctx context.Context, w http.ResponseWriter, path string, body []byte, key string) {
+	status, resp, err := f.route(ctx, path, body, key)
+	if err != nil {
+		httpd.WriteError(w, http.StatusServiceUnavailable,
+			fmt.Sprintf("no replica served the request: %v", err))
+		return
+	}
+	httpd.Write(w, status, resp)
 }
 
 // routeKeyFor computes the content routing key for a request body. A
@@ -499,12 +373,12 @@ func routeKeyFor(path string, body []byte) (string, bool) {
 	switch path {
 	case "/v1/compile":
 		var req server.CompileRequest
-		if strictUnmarshal(body, &req) == nil {
+		if httpd.Decode(body, &req) == nil {
 			return keyString(req.RouteKey()), true
 		}
 	case "/v1/simulate":
 		var req server.SimulateRequest
-		if strictUnmarshal(body, &req) == nil {
+		if httpd.Decode(body, &req) == nil {
 			return keyString(req.RouteKey()), true
 		}
 	}
@@ -519,18 +393,6 @@ func keyString(k buildcache.Key) string {
 func rawKey(body []byte) string {
 	sum := sha256.Sum256(body)
 	return "raw|" + hex.EncodeToString(sum[:16])
-}
-
-func strictUnmarshal(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return errors.New("trailing data")
-	}
-	return nil
 }
 
 func hash64(s string) uint64 {
@@ -550,18 +412,8 @@ func hash64(s string) uint64 {
 // response below 500 — including a replica's canonical 4xx — ends the
 // search, and so does the caller's context expiring.
 func (f *Front) route(ctx context.Context, path string, body []byte, key string) (int, []byte, error) {
-	prefs := f.ring.Owners(key)
-	var avail, rest []*backend
-	for _, id := range prefs {
-		b := f.backends[id]
-		if b.healthy.Load() && b.rc.Ready() {
-			avail = append(avail, b)
-		} else {
-			rest = append(rest, b)
-		}
-	}
-	cands := append(avail, rest...)
-
+	cands := f.candidates(key)
+	owner := f.ring.Owner(key)
 	jitter := hash64(key)
 	var lastStatus int
 	var lastBody []byte
@@ -570,7 +422,7 @@ func (f *Front) route(ctx context.Context, path string, body []byte, key string)
 	for _, b := range cands {
 		status, resp, err := f.send(ctx, b, path, body, jitter)
 		if err == nil && status < 500 {
-			if b.id != prefs[0] {
+			if b.id != owner {
 				f.metrics.Failover()
 			}
 			return status, resp, nil
@@ -598,23 +450,48 @@ func (f *Front) route(ctx context.Context, path string, body []byte, key string)
 	return 0, nil, fmt.Errorf("all %d backends failed: %w", len(cands), lastErr)
 }
 
+// candidates returns key's ring owners in preference order, healthy and
+// breaker-closed ones first: a dead replica is skipped without waiting
+// for a timeout but stays a last resort.
+func (f *Front) candidates(key string) []*backend {
+	var avail, rest []*backend
+	for _, id := range f.ring.Owners(key) {
+		b := f.backends[id]
+		if b.healthy.Load() && b.rc.Ready() {
+			avail = append(avail, b)
+		} else {
+			rest = append(rest, b)
+		}
+	}
+	return append(avail, rest...)
+}
+
 // send runs one resilient request against one backend and records it.
 func (f *Front) send(ctx context.Context, b *backend, path string, body []byte, jitter uint64) (int, []byte, error) {
 	start := time.Now()
 	res, err := b.rc.Do(ctx, jitter, func(ctx context.Context) (int, []byte, error) {
-		return post(ctx, f.client, b.base+path, body)
+		return f.request(ctx, http.MethodPost, b.base+path, body)
 	})
 	f.metrics.ObserveBackend(b.id, time.Since(start), err != nil || res.Status >= 500)
 	return res.Status, res.Body, err
 }
 
-func post(ctx context.Context, client *http.Client, url string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+// request sends one request to a backend and reads the whole response
+// (a nil body sends none). Status 0 with an error means no HTTP response
+// arrived at all.
+func (f *Front) request(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -635,6 +512,14 @@ func post(ctx context.Context, client *http.Client, url string, body []byte) (in
 		}
 	}
 	return resp.StatusCode, b, nil
+}
+
+// detached is request under its own probeTimeout budget, detached from
+// any caller.
+func (f *Front) detached(method, url string) (int, []byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	return f.request(ctx, method, url, nil)
 }
 
 // ---------------------------------------------------------------------
@@ -666,25 +551,19 @@ type rawBatchResult struct {
 
 func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	const path = "/v1/batch"
-	body, done, ctx, ok := f.admit(w, r, path)
-	if !ok {
+	body, he := f.ReadBody(w, r)
+	if he != nil {
+		httpd.WriteError(w, he.Status, he.Msg)
 		return
 	}
-	defer done()
-
+	ctx := r.Context()
 	groups, splittable := f.splitBatch(body)
 	if !splittable {
 		// Invalid shape (or beyond the split bound): forward unsplit so a
 		// replica produces the canonical error — or the canonical success
 		// for the shapes the splitter declines but replicas accept.
 		f.metrics.RawRouted()
-		status, resp, err := f.route(ctx, path, body, rawKey(body))
-		if err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
-				fmt.Sprintf("no replica served the request: %v", err))
-			return
-		}
-		f.respond(w, path, status, resp)
+		f.forward(ctx, w, path, body, rawKey(body))
 		return
 	}
 
@@ -718,21 +597,21 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 	merged := make([]rawBatchResult, total)
 	for _, g := range groups {
 		if g.err != nil {
-			f.respondError(w, path, http.StatusServiceUnavailable,
+			httpd.WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("sub-batch failed on every replica: %v", g.err))
 			return
 		}
 		if g.status != http.StatusOK {
 			// A replica rejected a sub-batch the splitter considered valid
 			// (e.g. a stricter replica-side bound): surface its response.
-			f.respond(w, path, g.status, g.resp)
+			httpd.Write(w, g.status, g.resp)
 			return
 		}
 		var sub struct {
 			Results []rawBatchResult `json:"results"`
 		}
 		if err := json.Unmarshal(g.resp, &sub); err != nil || len(sub.Results) != len(g.indices) {
-			f.respondError(w, path, http.StatusBadGateway,
+			httpd.WriteError(w, http.StatusBadGateway,
 				fmt.Sprintf("sub-batch response malformed: %d results for %d units", len(sub.Results), len(g.indices)))
 			return
 		}
@@ -745,10 +624,10 @@ func (f *Front) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Results []rawBatchResult `json:"results"`
 	}{Results: merged})
 	if err != nil {
-		f.respondError(w, path, http.StatusInternalServerError, "response encoding failed")
+		httpd.WriteError(w, http.StatusInternalServerError, "response encoding failed")
 		return
 	}
-	f.respond(w, path, http.StatusOK, append(out, '\n'))
+	httpd.Write(w, http.StatusOK, append(out, '\n'))
 }
 
 // splitBatch parses a batch body and groups its units by ring owner.
@@ -761,7 +640,7 @@ func (f *Front) splitBatch(body []byte) ([]*batchGroup, bool) {
 	var outer struct {
 		Units []json.RawMessage `json:"units"`
 	}
-	if strictUnmarshal(body, &outer) != nil {
+	if httpd.Decode(body, &outer) != nil {
 		return nil, false
 	}
 	if len(outer.Units) == 0 || len(outer.Units) > f.cfg.MaxBatchUnits {
@@ -771,7 +650,7 @@ func (f *Front) splitBatch(body []byte) ([]*batchGroup, bool) {
 	var order []*batchGroup
 	for i, raw := range outer.Units {
 		var u server.BatchUnit
-		if strictUnmarshal(raw, &u) != nil {
+		if httpd.Decode(raw, &u) != nil {
 			return nil, false
 		}
 		var key string

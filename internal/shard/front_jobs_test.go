@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"idemproc/internal/httpd"
 	"idemproc/internal/jobs"
 	"idemproc/internal/server"
 )
@@ -324,7 +325,7 @@ func TestFrontJobCancelFansOut(t *testing.T) {
 	}
 	b, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var cr server.CancelResponse
+	var cr httpd.CancelResponse
 	if err := json.Unmarshal(b, &cr); err != nil || cr.State != "canceled" {
 		t.Fatalf("cancel response: %s (%v)", b, err)
 	}
@@ -343,27 +344,14 @@ func TestFrontJobCancelFansOut(t *testing.T) {
 	t.Fatal("no replica sub-job was ever canceled")
 }
 
-// TestFrontJobValidation pins the front's error surface to the replica
-// texts: unknown handles, cursor bounds, method filters, and the
-// canonical replica answer for unsplittable submissions.
+// TestFrontJobValidation pins the front's own answers to submissions:
+// an unsplittable body gets the canonical replica error, and a batch
+// beyond the split bound is rejected with the replica's message shape.
 func TestFrontJobValidation(t *testing.T) {
 	_, refAddr := newReplica(t)
 	refURL := "http://" + refAddr
 	_, addr := newReplica(t)
 	_, url := newFront(t, []string{addr}, func(c *Config) { c.MaxBatchUnits = 2 })
-
-	// Unknown handle: poll, stream, cancel.
-	for _, path := range []string{"/v1/jobs/zzz", "/v1/jobs/zzz/stream"} {
-		resp, err := http.Get(url + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(b), `unknown job \"zzz\"`) {
-			t.Fatalf("GET %s: status %d body %s", path, resp.StatusCode, b)
-		}
-	}
 
 	// A submit that the splitter declines for shape reasons gets the
 	// byte-identical replica error.
@@ -385,37 +373,89 @@ func TestFrontJobValidation(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(string(resp), "batch exceeds 2 units") {
 		t.Fatalf("oversize submit: status %d body %s", status, resp)
 	}
+}
 
-	// A real job for cursor/method checks.
-	sub := submitFrontJob(t, url, mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
+// TestFrontErrorsMatchReplica sends every error the request skeleton
+// writes to a replica and to a front, and requires the same status,
+// body, Allow and Content-Type: both tiers answer from one preamble.
+func TestFrontErrorsMatchReplica(t *testing.T) {
+	_, refAddr := newReplica(t)
+	refURL := "http://" + refAddr
+	_, addr := newReplica(t)
+	_, frontURL := newFront(t, []string{addr}, nil)
+
+	// One finished single-unit job on each side, for the cursor and wait
+	// checks; the handles differ, so {id} is filled in per side.
+	body := mustJSON(t, &server.BatchRequest{Units: []server.BatchUnit{
 		{Compile: &server.CompileRequest{Source: srcVariant(0)}},
-	}}))
-	rep := pollFrontJob(t, url, sub.ID, 0, 5000)
-	if rep.State != "done" {
-		t.Fatalf("job state %q", rep.State)
+	}})
+	ids := map[string]string{}
+	for _, base := range []string{refURL, frontURL} {
+		sub := submitFrontJob(t, base, body)
+		if rep := pollFrontJob(t, base, sub.ID, 0, 5000); rep.State != "done" {
+			t.Fatalf("%s: job state %q", base, rep.State)
+		}
+		ids[base] = sub.ID
 	}
-	for _, q := range []string{"cursor=2", "cursor=-1", "cursor=abc", "wait=abc", "wait=-5"} {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s?%s", url, sub.ID, q))
+
+	tooBig := bytes.Repeat([]byte("x"), httpd.DefaultMaxBodyBytes+1)
+	type exchange struct {
+		status             int
+		body, allow, ctype string
+	}
+	send := func(base, method, path string, payload []byte) exchange {
+		t.Helper()
+		req, err := http.NewRequest(method, base+strings.ReplaceAll(path, "{id}", ids[base]), bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("GET ?%s: status %d, want 400", q, resp.StatusCode)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
 		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s %s: read body: %v", method, path, err)
+		}
+		return exchange{resp.StatusCode, string(b), resp.Header.Get("Allow"), resp.Header.Get("Content-Type")}
 	}
-	req, err := http.NewRequest(http.MethodPatch, url+"/v1/jobs/"+sub.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusMethodNotAllowed || resp2.Header.Get("Allow") != "GET, DELETE" {
-		t.Fatalf("PATCH: status %d Allow %q", resp2.StatusCode, resp2.Header.Get("Allow"))
+
+	for _, tc := range []struct {
+		method, path string
+		body         []byte
+		want         int
+	}{
+		{http.MethodPost, "/healthz", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/readyz", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/metrics", nil, http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/compile", nil, http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/simulate", nil, http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/batch", nil, http.StatusMethodNotAllowed},
+		{http.MethodGet, "/v1/jobs", nil, http.StatusMethodNotAllowed},
+		{http.MethodPatch, "/v1/jobs/{id}", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/jobs/{id}/stream", nil, http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/compile", tooBig, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/v1/simulate", tooBig, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/v1/batch", tooBig, http.StatusRequestEntityTooLarge},
+		{http.MethodPost, "/v1/jobs", tooBig, http.StatusRequestEntityTooLarge},
+		{http.MethodGet, "/v1/jobs/zzz", nil, http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/zzz/stream", nil, http.StatusNotFound},
+		{http.MethodDelete, "/v1/jobs/zzz", nil, http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/{id}?cursor=2", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs/{id}?cursor=-1", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs/{id}?cursor=abc", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs/{id}/stream?cursor=abc", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs/{id}?wait=abc", nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/jobs/{id}?wait=-5", nil, http.StatusBadRequest},
+	} {
+		want := send(refURL, tc.method, tc.path, tc.body)
+		got := send(frontURL, tc.method, tc.path, tc.body)
+		if want.status != tc.want {
+			t.Errorf("%s %s: replica status %d, want %d", tc.method, tc.path, want.status, tc.want)
+		}
+		if got != want {
+			t.Errorf("%s %s: front %+v, replica %+v", tc.method, tc.path, got, want)
+		}
 	}
 }

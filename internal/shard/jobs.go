@@ -10,16 +10,14 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
+	"idemproc/internal/httpd"
 	"idemproc/internal/jobs"
 	"idemproc/internal/server"
 )
@@ -38,16 +36,14 @@ const subJobWait = 15 * time.Second
 // split exactly like /v1/batch, mint a front-side handle immediately,
 // and let one merger goroutine per sub-batch feed the tracked job.
 func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs"
-	body, done, ctx, ok := f.admit(w, r, path)
-	if !ok {
+	body, he := f.ReadBody(w, r)
+	if he != nil {
+		httpd.WriteError(w, he.Status, he.Msg)
 		return
 	}
-	defer done()
-
 	groups, splittable := f.splitBatch(body)
 	if !splittable {
-		f.forwardUnsplittableJob(w, ctx, body)
+		f.forwardUnsplittableJob(w, r.Context(), body)
 		return
 	}
 
@@ -59,19 +55,17 @@ func (f *Front) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, jobs.ErrTableFull) || errors.Is(err, jobs.ErrClosed) {
 			// Same shed contract as a replica: bounded table, retry hint.
-			w.Header().Set("Retry-After", "1")
-			f.respondError(w, path, http.StatusTooManyRequests, err.Error())
+			httpd.WriteShed(w, err.Error())
 			return
 		}
-		f.respondError(w, path, http.StatusInternalServerError, err.Error())
+		httpd.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	for _, g := range groups {
 		f.wg.Add(1)
 		go f.runGroup(j, g)
 	}
-	b, _ := json.Marshal(server.SubmitResponse{ID: j.ID(), Units: total, State: j.State().String()})
-	f.respond(w, path, http.StatusOK, append(b, '\n'))
+	httpd.WriteJSON(w, http.StatusOK, server.SubmitResponse{ID: j.ID(), Units: total, State: j.State().String()})
 }
 
 // forwardUnsplittableJob handles the bodies the splitter declines. The
@@ -85,26 +79,26 @@ func (f *Front) forwardUnsplittableJob(w http.ResponseWriter, ctx context.Contex
 	var outer struct {
 		Units []json.RawMessage `json:"units"`
 	}
-	if strictUnmarshal(body, &outer) == nil && len(outer.Units) > f.cfg.MaxBatchUnits {
-		f.respondError(w, path, http.StatusBadRequest,
+	if httpd.Decode(body, &outer) == nil && len(outer.Units) > f.cfg.MaxBatchUnits {
+		httpd.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch exceeds %d units", f.cfg.MaxBatchUnits))
 		return
 	}
 	f.metrics.RawRouted()
 	status, resp, err := f.route(ctx, path, body, rawKey(body))
 	if err != nil {
-		f.respondError(w, path, http.StatusServiceUnavailable,
+		httpd.WriteError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("no replica served the request: %v", err))
 		return
 	}
 	if status == http.StatusOK {
 		// Unreachable when front and replica validation agree; never hand
 		// out a replica-scoped handle (its TTL reaps the stray job).
-		f.respondError(w, path, http.StatusBadGateway,
+		httpd.WriteError(w, http.StatusBadGateway,
 			"replica accepted a job the front cannot track")
 		return
 	}
-	f.respond(w, path, status, resp)
+	httpd.Write(w, status, resp)
 }
 
 // runGroup is one sub-batch's merger: submit the group's still-missing
@@ -145,21 +139,10 @@ func (f *Front) runGroup(j *jobs.Job, g *batchGroup) {
 	j.Fail(fmt.Sprintf("sub-batch failed on every replica: %v", lastErr))
 }
 
-// pickBackend walks the group's deterministic candidate list (healthy,
-// breaker-closed owners first) by attempt number, so consecutive
-// retries rotate replicas instead of hammering one.
+// pickBackend walks the group's candidate list by attempt number, so
+// consecutive retries rotate replicas instead of hammering one.
 func (f *Front) pickBackend(key string, attempt int) *backend {
-	prefs := f.ring.Owners(key)
-	var avail, rest []*backend
-	for _, id := range prefs {
-		b := f.backends[id]
-		if b.healthy.Load() && b.rc.Ready() {
-			avail = append(avail, b)
-		} else {
-			rest = append(rest, b)
-		}
-	}
-	cands := append(avail, rest...)
+	cands := f.candidates(key)
 	return cands[attempt%len(cands)]
 }
 
@@ -185,7 +168,7 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 	if f.cfg.RequestTimeout > 0 {
 		sctx, cancel = context.WithTimeout(sctx, f.cfg.RequestTimeout)
 	}
-	status, resp, err := post(sctx, f.client, b.base+"/v1/jobs", sub)
+	status, resp, err := f.request(sctx, http.MethodPost, b.base+"/v1/jobs", sub)
 	cancel()
 	if err != nil {
 		if status == 0 {
@@ -209,7 +192,7 @@ func (f *Front) runSubJob(ctx context.Context, j *jobs.Job, b *backend,
 	for cursor < len(remUnits) {
 		url := fmt.Sprintf("%s/v1/jobs/%s?cursor=%d&wait=%d",
 			b.base, sr.ID, cursor, subJobWait.Milliseconds())
-		status, resp, err := getBody(ctx, f.client, url)
+		status, resp, err := f.request(ctx, http.MethodGet, url, nil)
 		if ctx.Err() != nil {
 			// The front job went away under us; release the replica's slot.
 			f.cancelSubJob(b, sr.ID)
@@ -269,36 +252,7 @@ func rewriteIndex(res json.RawMessage, index int) ([]byte, error) {
 // job is gone (canceled or front shutdown); the replica would otherwise
 // keep computing results nobody will read.
 func (f *Front) cancelSubJob(b *backend, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, b.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-}
-
-// getBody is post's GET sibling: one bounded read of a replica URL.
-func getBody(ctx context.Context, client *http.Client, url string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, b, nil
+	_, _, _ = f.detached(http.MethodDelete, b.base+"/v1/jobs/"+id)
 }
 
 // firstLine trims a response body to its first line for error messages.
@@ -309,115 +263,4 @@ func firstLine(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// ---------------------------------------------------------------------
-// Front-side job reads: same endpoints, texts and semantics as a
-// replica, served from the front's own job table.
-
-// handleJob serves GET (long-poll) and DELETE (cancel) for a front job.
-func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs/{id}"
-	fin := f.metrics.InFlight()
-	defer fin()
-	if r.Method != http.MethodGet && r.Method != http.MethodDelete {
-		w.Header().Set("Allow", "GET, DELETE")
-		f.respondError(w, path, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed", r.Method))
-		return
-	}
-	j, ok := f.jobFromRequest(w, r, path)
-	if !ok {
-		return
-	}
-	if r.Method == http.MethodDelete {
-		j, _ = f.jobs.Cancel(j.ID())
-		b, _ := json.Marshal(server.CancelResponse{ID: j.ID(), State: j.State().String()})
-		f.respond(w, path, http.StatusOK, append(b, '\n'))
-		return
-	}
-
-	cursor, ok := f.parseJobCursor(w, r, path, j.Units())
-	if !ok {
-		return
-	}
-	var wait time.Duration
-	if q := r.URL.Query().Get("wait"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 {
-			f.respondError(w, path, http.StatusBadRequest,
-				"wait must be a non-negative duration in milliseconds")
-			return
-		}
-		wait = time.Duration(ms) * time.Millisecond
-		if wait > f.cfg.JobPollMax {
-			wait = f.cfg.JobPollMax
-		}
-	}
-	rep := j.Poll(r.Context(), cursor, wait)
-	b, _ := json.Marshal(rep)
-	f.respond(w, path, http.StatusOK, append(b, '\n'))
-}
-
-// handleJobStream serves GET /v1/jobs/{id}/stream: NDJSON results in
-// strict index order, resumable with ?cursor=.
-func (f *Front) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	const path = "/v1/jobs/{id}/stream"
-	fin := f.metrics.InFlight()
-	defer fin()
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		f.respondError(w, path, http.StatusMethodNotAllowed,
-			fmt.Sprintf("method %s not allowed", r.Method))
-		return
-	}
-	j, ok := f.jobFromRequest(w, r, path)
-	if !ok {
-		return
-	}
-	cursor, ok := f.parseJobCursor(w, r, path, j.Units())
-	if !ok {
-		return
-	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	f.metrics.ObservePath(path, http.StatusOK)
-	_, _ = j.Stream(r.Context(), cursor, func(chunk [][]byte) error {
-		var buf bytes.Buffer
-		for _, line := range chunk {
-			buf.Write(line)
-			buf.WriteByte('\n')
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
-}
-
-func (f *Front) jobFromRequest(w http.ResponseWriter, r *http.Request, path string) (*jobs.Job, bool) {
-	id := r.PathValue("id")
-	j, ok := f.jobs.Get(id)
-	if !ok {
-		f.respondError(w, path, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
-	}
-	return j, ok
-}
-
-func (f *Front) parseJobCursor(w http.ResponseWriter, r *http.Request, path string, units int) (int, bool) {
-	q := r.URL.Query().Get("cursor")
-	if q == "" {
-		return 0, true
-	}
-	c, err := strconv.Atoi(q)
-	if err != nil || c < 0 || c > units {
-		f.respondError(w, path, http.StatusBadRequest,
-			fmt.Sprintf("cursor must be an integer in [0, %d]", units))
-		return 0, false
-	}
-	return c, true
 }

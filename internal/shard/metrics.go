@@ -90,8 +90,11 @@ func (m *Metrics) ObserveBackend(id string, d time.Duration, failed bool) {
 	m.backendLatency.With(id).Add(int64(d))
 }
 
-// ObservePath records one front-level response by path and status.
-func (m *Metrics) ObservePath(path string, code int) { m.paths.With(path, strconv.Itoa(code)).Inc() }
+// Observe records one front-level response by path and status. The
+// front keeps no latency histogram, so d is unused.
+func (m *Metrics) Observe(path string, code int, _ time.Duration) {
+	m.paths.With(path, strconv.Itoa(code)).Inc()
+}
 
 // RingGeneration bumps the generation counter (one health transition =
 // one new effective assignment) and returns the new value.

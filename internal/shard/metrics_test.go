@@ -20,11 +20,11 @@ func TestFrontMetricsGolden(t *testing.T) {
 	m.ObserveBackend("r1", 1250*time.Microsecond, true)
 	m.ObserveBackend("r2", 2*time.Second, true)
 	m.ObserveBackend("r1", 4*time.Millisecond, false)
-	m.ObservePath("/v1/simulate", 200)
-	m.ObservePath("/v1/compile", 200)
-	m.ObservePath("/v1/compile", 503)
-	m.ObservePath("/v1/compile", 200)
-	m.ObservePath("/v1/batch", 400)
+	m.Observe("/v1/simulate", 200, 0)
+	m.Observe("/v1/compile", 200, 0)
+	m.Observe("/v1/compile", 503, 0)
+	m.Observe("/v1/compile", 200, 0)
+	m.Observe("/v1/batch", 400, 0)
 	m.RingGeneration()
 	m.RingGeneration()
 	m.Rebalance()
